@@ -116,12 +116,11 @@ BENCHMARK(BM_GeneratePdi);
 void BM_FullDeployment(benchmark::State& state) {
   Env& env = SharedEnv();
   for (auto _ : state) {
-    quarry::storage::Database warehouse;
-    auto report = env.quarry->Deploy(&warehouse);
-    if (!report.ok()) std::abort();
-    benchmark::DoNotOptimize(report->etl.rows_processed);
+    auto outcome = env.quarry->DeployServing();
+    if (!outcome.ok() || !outcome->success) std::abort();
+    benchmark::DoNotOptimize(outcome->report.etl.rows_processed);
     state.counters["etl_rows"] =
-        static_cast<double>(report->etl.rows_processed);
+        static_cast<double>(outcome->report.etl.rows_processed);
   }
 }
 BENCHMARK(BM_FullDeployment)->Unit(benchmark::kMillisecond);

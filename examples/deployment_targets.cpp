@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <iostream>
+#include <memory>
 
 #include "core/quarry.h"
 #include "datagen/tpch.h"
@@ -73,16 +74,22 @@ int main() {
             << ktr->substr(0, 900) << "...\n\n";
 
   // --- deployment on the embedded engines -----------------------------------
-  quarry::storage::Database warehouse;
-  auto deployment = (*quarry)->Deploy(&warehouse);
+  auto deployment = (*quarry)->DeployServing();
   if (!deployment.ok()) return Fail(deployment.status());
+  if (!deployment->success) return Fail(deployment->failure->cause);
+  // The published generation is immutable; the expert tunes a copy.
+  auto published = (*quarry)->warehouse().Acquire();
+  if (!published.ok()) return Fail(published.status());
+  std::unique_ptr<quarry::storage::Database> tuned = published->db().Clone();
+  quarry::storage::Database& warehouse = *tuned;
   std::cout << "deployed tables:";
   for (const std::string& name : warehouse.TableNames()) {
     std::cout << " " << name << "("
               << (*warehouse.GetTable(name))->num_rows() << ")";
   }
   std::cout << "\nreferential integrity: "
-            << (deployment->referential_integrity_ok ? "OK" : "BROKEN")
+            << (deployment->report.referential_integrity_ok ? "OK"
+                                                            : "BROKEN")
             << "\n\n";
 
   // --- expert tuning hook: indexes over the deployed schema ----------------

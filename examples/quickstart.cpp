@@ -60,17 +60,24 @@ int main() {
             << (*quarry)->schema().facts().size() << " fact(s), "
             << (*quarry)->schema().dimensions().size() << " dimension(s)\n";
 
-  // 4. Deployment: DDL + ETL run against the embedded warehouse.
-  quarry::storage::Database warehouse;
-  auto deployment = (*quarry)->Deploy(&warehouse);
-  if (!deployment.ok()) return Fail(deployment.status());
-  std::cout << "deployed " << deployment->tables_created << " tables; ETL "
-            << "processed " << deployment->etl.rows_processed << " rows in "
-            << deployment->etl.total_millis << " ms\n";
+  // 4. Deployment: DDL + ETL build the first warehouse generation on the
+  //    embedded engines, which is then published for readers.
+  auto outcome_deploy = (*quarry)->DeployServing();
+  if (!outcome_deploy.ok()) return Fail(outcome_deploy.status());
+  if (!outcome_deploy->success) return Fail(outcome_deploy->failure->cause);
+  const quarry::deployer::DeploymentReport& deployment =
+      outcome_deploy->report;
+  std::cout << "deployed " << deployment.tables_created << " tables; ETL "
+            << "processed " << deployment.etl.rows_processed << " rows in "
+            << deployment.etl.total_millis << " ms\n";
   std::cout << "\n--- generated DDL (excerpt) ---\n"
-            << deployment->ddl.substr(0, 400) << "...\n";
+            << deployment.ddl.substr(0, 400) << "...\n";
 
-  // 5. Use the warehouse: top revenue rows with dimension context.
+  // 5. Use the warehouse: top revenue rows with dimension context, read
+  //    from a pin on the published generation.
+  auto pin = (*quarry)->warehouse().Acquire();
+  if (!pin.ok()) return Fail(pin.status());
+  const quarry::storage::Database& warehouse = pin->db();
   const quarry::storage::Table& fact =
       **warehouse.GetTable("fact_table_revenue");
   const quarry::storage::Table& dim_part = **warehouse.GetTable("dim_Part");

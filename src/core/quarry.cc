@@ -156,53 +156,64 @@ class RequestScope {
       std::chrono::steady_clock::now();
 };
 
-/// The status a deployment effectively completed with: a Result that is
-/// "ok" but rolled back logically carries its DeploymentFailure cause. Both
-/// the request record and the tenant circuit breaker see this status.
-Status EffectiveDeploymentStatus(
-    const Result<deployer::DeploymentOutcome>& outcome) {
-  if (!outcome.ok()) return outcome.status();
-  const deployer::DeploymentOutcome& o = *outcome;
-  if (!o.success && !o.partial && o.failure.has_value()) {
-    return o.failure->cause;
-  }
-  return Status::OK();
+// Request attribution of the design-lane results: each overload folds a
+// result into the scope's record and returns the status the request
+// effectively completed with — what both the request record and the tenant
+// circuit breaker see.
+
+Status Attribute(RequestScope*, const Status& status, const Quarry&) {
+  return status;
 }
 
-/// Folds a deployment outcome into the scope's record — rows, generation,
-/// slowest operators, and the full ETL profile (kept by the event log only
-/// when the request crosses the slow threshold) — then finishes it. A
-/// deployment that "succeeded" as a Result but rolled back logically
-/// reports its DeploymentFailure cause as the request status.
-void FinishDeploymentScope(RequestScope* scope,
-                           const Result<deployer::DeploymentOutcome>& outcome,
-                           const etl::Flow* flow) {
-  Status status = EffectiveDeploymentStatus(outcome);
-  if (outcome.ok()) {
-    const deployer::DeploymentOutcome& o = *outcome;
-    scope->record().rows = o.report.etl.rows_processed;
-    scope->record().generation = o.published_generation;
-    scope->record().slowest_ops = SlowestOpsFromReport(o.report.etl);
-    if (flow != nullptr) {
-      // Rendered only if Finish finds the deployment slow; `outcome` and
-      // `flow` outlive the Finish call below.
-      scope->set_profile_renderer([scope, status, &o, flow] {
-        obs::RequestProfile profile;
-        profile.request_id = scope->id();
-        profile.kind = scope->record().kind;
-        profile.status =
-            status.ok() ? "ok" : StatusCodeToString(status.code());
-        profile.generation = o.published_generation;
-        profile.rows = o.report.etl.rows_processed;
-        profile.admission_wait_micros =
-            scope->record().admission_wait_micros;
-        profile.total_micros = o.report.etl.total_millis * 1000.0;
-        profile.roots = etl::BuildProfileTrees(*flow, o.report.etl);
-        return profile.ToJson();
-      });
-    }
+Status Attribute(RequestScope*,
+                 const Result<integrator::IntegrationOutcome>& outcome,
+                 const Quarry&) {
+  return outcome.status();
+}
+
+Status Attribute(RequestScope* scope,
+                 const Result<etl::ExecutionReport>& report,
+                 const Quarry& quarry) {
+  if (report.ok()) {
+    scope->record().rows = report->rows_processed;
+    scope->record().generation = quarry.warehouse().current_generation();
+    scope->record().slowest_ops = SlowestOpsFromReport(*report);
   }
-  scope->Finish(status);
+  return report.status();
+}
+
+/// Rows, generation, slowest operators, and the full ETL profile (kept by
+/// the event log only when the request crosses the slow threshold). A
+/// deployment that "succeeded" as a Result but rolled back logically
+/// carries its DeploymentFailure cause as the effective status.
+Status Attribute(RequestScope* scope,
+                 const Result<deployer::DeploymentOutcome>& outcome,
+                 const Quarry& quarry) {
+  if (!outcome.ok()) return outcome.status();
+  const deployer::DeploymentOutcome& o = *outcome;
+  Status status = Status::OK();
+  if (!o.success && !o.partial && o.failure.has_value()) {
+    status = o.failure->cause;
+  }
+  scope->record().rows = o.report.etl.rows_processed;
+  scope->record().generation = o.published_generation;
+  scope->record().slowest_ops = SlowestOpsFromReport(o.report.etl);
+  // Rendered only if Finish finds the deployment slow; `outcome` and the
+  // flow (guarded by submit_mu_) outlive the Finish call.
+  const etl::Flow* flow = &quarry.flow();
+  scope->set_profile_renderer([scope, status, &o, flow] {
+    obs::RequestProfile profile;
+    profile.request_id = scope->id();
+    profile.kind = scope->record().kind;
+    profile.status = status.ok() ? "ok" : StatusCodeToString(status.code());
+    profile.generation = o.published_generation;
+    profile.rows = o.report.etl.rows_processed;
+    profile.admission_wait_micros = scope->record().admission_wait_micros;
+    profile.total_micros = o.report.etl.total_millis * 1000.0;
+    profile.roots = etl::BuildProfileTrees(*flow, o.report.etl);
+    return profile.ToJson();
+  });
+  return status;
 }
 
 }  // namespace
@@ -268,8 +279,8 @@ Quarry::Quarry(ontology::Ontology onto, ontology::SourceMapping mapping,
   // the event-log counters (RequestLog registers its own) — all eager so
   // the first scrape shows zeros, not gaps.
   for (const char* kind :
-       {"requirement", "requirement_remove", "deploy", "refresh",
-        "deploy_serving", "refresh_serving", "query"}) {
+       {"requirement", "requirement_remove", "deploy_serving",
+        "refresh_serving", "query"}) {
     RequestsTotal(kind);
     RequestFailuresTotal(kind);
     RequestMicrosHistogram(kind);
@@ -420,20 +431,10 @@ Result<integrator::IntegrationOutcome> Quarry::ChangeRequirement(
   return AddRequirement(ir, ctx);
 }
 
-Result<deployer::DeploymentReport> Quarry::Deploy(storage::Database* target) {
-  if (target == nullptr) {
-    return Status::InvalidArgument("target database is null");
-  }
-  deployer::Deployer dep(source_, target);
-  return dep.Deploy(design_->schema(), design_->flow(), *mapping_,
-                    config_.database_name);
-}
-
-Result<deployer::DeploymentOutcome> Quarry::DeployResilient(
-    storage::Database* target, deployer::DeployOptions options) {
-  const ExecContext* ctx = options.context;
-  RequestScope scope("deploy", &ctx);
-  options.context = ctx;
+template <typename Body>
+auto Quarry::DesignLane(const char* kind, const ExecContext* ctx, Body&& body)
+    -> decltype(body(ctx)) {
+  RequestScope scope(kind, &ctx);
   // Tenant quota gate first (§11): a tenant over its rate / in-flight share
   // or behind a tripped breaker is shed before it can touch the shared
   // design lane.
@@ -442,9 +443,6 @@ Result<deployer::DeploymentOutcome> Quarry::DeployResilient(
     scope.Finish(lease.status());
     return lease.status();
   }
-  // Admission-gated like every other design-mutating entry point (§7): the
-  // direct call and SubmitDeploy pass the same single gate. (Only the
-  // legacy non-transactional Deploy() stays ungated.)
   double wait = 0.0;
   Result<AdmissionController::Ticket> ticket = admission_->Admit(ctx, &wait);
   scope.set_admission_wait(wait);
@@ -454,281 +452,127 @@ Result<deployer::DeploymentOutcome> Quarry::DeployResilient(
     return ticket.status();
   }
   std::lock_guard<std::mutex> lock(submit_mu_);
-  Result<deployer::DeploymentOutcome> outcome =
-      DeployResilientInternal(target, std::move(options));
-  lease->Complete(EffectiveDeploymentStatus(outcome));
-  FinishDeploymentScope(&scope, outcome, &design_->flow());
-  return outcome;
-}
-
-Result<deployer::DeploymentOutcome> Quarry::DeployResilientInternal(
-    storage::Database* target, deployer::DeployOptions options) {
-  if (target == nullptr) {
-    return Status::InvalidArgument("target database is null");
-  }
-  options.database_name = config_.database_name;
-  options.metadata = &repository_.store();
-  // The instance-wide scheduler config applies unless this deployment's
-  // options already ask for parallelism themselves.
-  if (options.exec.max_workers <= 1) options.exec = config_.etl_exec;
-  deployer::Deployer dep(source_, target);
-  return dep.DeployTransactional(design_->schema(), design_->flow(),
-                                 *mapping_, options);
-}
-
-Result<etl::ExecutionReport> Quarry::Refresh(storage::Database* target,
-                                             const ExecContext* ctx) {
-  RequestScope scope("refresh", &ctx);
-  Result<TenantRegistry::Lease> lease = tenants_.Admit(ctx);
-  if (!lease.ok()) {
-    scope.Finish(lease.status());
-    return lease.status();
-  }
-  double wait = 0.0;
-  Result<AdmissionController::Ticket> ticket = admission_->Admit(ctx, &wait);
-  scope.set_admission_wait(wait);
-  if (!ticket.ok()) {
-    lease->Complete(ticket.status());
-    scope.Finish(ticket.status());
-    return ticket.status();
-  }
-  std::lock_guard<std::mutex> lock(submit_mu_);
-  Result<etl::ExecutionReport> report = RefreshInternal(target, ctx);
-  if (report.ok()) {
-    scope.record().rows = report->rows_processed;
-    scope.record().slowest_ops = SlowestOpsFromReport(*report);
-  }
-  lease->Complete(report.status());
-  scope.Finish(report.status());
-  return report;
-}
-
-Result<etl::ExecutionReport> Quarry::RefreshInternal(storage::Database* target,
-                                                     const ExecContext* ctx) {
-  if (target == nullptr) {
-    return Status::InvalidArgument("target database is null");
-  }
-  QUARRY_NAMED_SPAN(span, "quarry.refresh");
-  if (RequestId(ctx) != 0) {
-    QUARRY_SPAN_ATTR(span, "request_id",
-                     static_cast<int64_t>(RequestId(ctx)));
-  }
-  if (!TenantId(ctx).empty()) {
-    QUARRY_SPAN_ATTR(span, "tenant", TenantId(ctx));
-  }
-  deployer::Deployer dep(source_, target);
-  return dep.Refresh(design_->flow(), {}, ctx, config_.etl_exec);
+  auto result = body(ctx);
+  Status status = Attribute(&scope, result, *this);
+  lease->Complete(status);
+  scope.Finish(status);
+  return result;
 }
 
 Result<integrator::IntegrationOutcome> Quarry::SubmitRequirement(
     const req::InformationRequirement& ir, const ExecContext* ctx) {
-  RequestScope scope("requirement", &ctx);
-  Result<TenantRegistry::Lease> lease = tenants_.Admit(ctx);
-  if (!lease.ok()) {
-    scope.Finish(lease.status());
-    return lease.status();
-  }
-  double wait = 0.0;
-  Result<AdmissionController::Ticket> ticket = admission_->Admit(ctx, &wait);
-  scope.set_admission_wait(wait);
-  if (!ticket.ok()) {
-    lease->Complete(ticket.status());
-    scope.Finish(ticket.status());
-    return ticket.status();
-  }
-  std::lock_guard<std::mutex> lock(submit_mu_);
-  Result<integrator::IntegrationOutcome> outcome = AddRequirement(ir, ctx);
-  lease->Complete(outcome.status());
-  scope.Finish(outcome.status());
-  return outcome;
+  return DesignLane("requirement", ctx, [&](const ExecContext* attributed) {
+    return AddRequirement(ir, attributed);
+  });
 }
 
 Result<integrator::IntegrationOutcome> Quarry::SubmitRequirementFromQuery(
     std::string_view query_text, const ExecContext* ctx) {
-  RequestScope scope("requirement", &ctx);
-  Result<TenantRegistry::Lease> lease = tenants_.Admit(ctx);
-  if (!lease.ok()) {
-    scope.Finish(lease.status());
-    return lease.status();
-  }
-  double wait = 0.0;
-  Result<AdmissionController::Ticket> ticket = admission_->Admit(ctx, &wait);
-  scope.set_admission_wait(wait);
-  if (!ticket.ok()) {
-    lease->Complete(ticket.status());
-    scope.Finish(ticket.status());
-    return ticket.status();
-  }
-  std::lock_guard<std::mutex> lock(submit_mu_);
-  Result<integrator::IntegrationOutcome> outcome =
-      AddRequirementFromQuery(query_text, ctx);
-  lease->Complete(outcome.status());
-  scope.Finish(outcome.status());
-  return outcome;
+  return DesignLane("requirement", ctx, [&](const ExecContext* attributed) {
+    return AddRequirementFromQuery(query_text, attributed);
+  });
 }
 
 Status Quarry::SubmitRemoveRequirement(const std::string& ir_id,
                                        const ExecContext* ctx) {
-  RequestScope scope("requirement_remove", &ctx);
-  Result<TenantRegistry::Lease> lease = tenants_.Admit(ctx);
-  if (!lease.ok()) {
-    scope.Finish(lease.status());
-    return lease.status();
-  }
-  double wait = 0.0;
-  Result<AdmissionController::Ticket> ticket = admission_->Admit(ctx, &wait);
-  scope.set_admission_wait(wait);
-  if (!ticket.ok()) {
-    lease->Complete(ticket.status());
-    scope.Finish(ticket.status());
-    return ticket.status();
-  }
-  Status status = [&] {
-    std::lock_guard<std::mutex> lock(submit_mu_);
-    QUARRY_RETURN_NOT_OK(CheckContext(ctx, "removal of '" + ir_id + "'"));
-    return RemoveRequirement(ir_id);
-  }();
-  lease->Complete(status);
-  scope.Finish(status);
-  return status;
-}
-
-Result<deployer::DeploymentOutcome> Quarry::SubmitDeploy(
-    storage::Database* target, deployer::DeployOptions options,
-    const ExecContext* ctx) {
-  // DeployResilient admits + locks itself — forwarding keeps one gate pass.
-  options.context = ctx;
-  return DeployResilient(target, std::move(options));
-}
-
-Result<etl::ExecutionReport> Quarry::SubmitRefresh(storage::Database* target,
-                                                   const ExecContext* ctx) {
-  return Refresh(target, ctx);
+  return DesignLane(
+      "requirement_remove", ctx, [&](const ExecContext* attributed) {
+        QUARRY_RETURN_NOT_OK(
+            CheckContext(attributed, "removal of '" + ir_id + "'"));
+        return RemoveRequirement(ir_id);
+      });
 }
 
 Result<deployer::DeploymentOutcome> Quarry::DeployServing(
     deployer::DeployOptions options, const ExecContext* ctx) {
-  if (ctx != nullptr) options.context = ctx;
-  const ExecContext* attributed = options.context;
-  RequestScope scope("deploy_serving", &attributed);
-  options.context = attributed;
-  Result<TenantRegistry::Lease> lease = tenants_.Admit(options.context);
-  if (!lease.ok()) {
-    scope.Finish(lease.status());
-    return lease.status();
-  }
-  double wait = 0.0;
-  Result<AdmissionController::Ticket> ticket =
-      admission_->Admit(options.context, &wait);
-  scope.set_admission_wait(wait);
-  if (!ticket.ok()) {
-    lease->Complete(ticket.status());
-    scope.Finish(ticket.status());
-    return ticket.status();
-  }
-  std::lock_guard<std::mutex> lock(submit_mu_);
-  Result<deployer::DeploymentOutcome> outcome =
-      DeployServingInternal(std::move(options));
-  lease->Complete(EffectiveDeploymentStatus(outcome));
-  FinishDeploymentScope(&scope, outcome, &design_->flow());
-  return outcome;
+  return DesignLane("deploy_serving", ctx, [&](const ExecContext* attributed) {
+    return DeployServingInternal(std::move(options), attributed);
+  });
 }
 
 Result<deployer::DeploymentOutcome> Quarry::DeployServingInternal(
-    deployer::DeployOptions options) {
+    deployer::DeployOptions options, const ExecContext* ctx) {
   QUARRY_NAMED_SPAN(span, "quarry.deploy_serving");
-  if (RequestId(options.context) != 0) {
-    QUARRY_SPAN_ATTR(span, "request_id",
-                     static_cast<int64_t>(RequestId(options.context)));
-  }
-  if (!TenantId(options.context).empty()) {
-    QUARRY_SPAN_ATTR(span, "tenant", TenantId(options.context));
+  QUARRY_SPAN_ATTR(span, "request_id", static_cast<int64_t>(RequestId(ctx)));
+  if (!TenantId(ctx).empty()) {
+    QUARRY_SPAN_ATTR(span, "tenant", TenantId(ctx));
   }
   BuildInFlight build(&serving_builds_in_flight_);
+  options.database_name = config_.database_name;
+  options.metadata = &repository_.store();
+  options.exec = config_.etl_exec;
+  // The deployer rolls the metadata store back on its own failures; this
+  // snapshot covers the one step after its deployment record is written:
+  // the publish (§9, §10).
+  docstore::DocumentStore metadata_before = repository_.store().Clone();
   std::unique_ptr<storage::Database> scratch = warehouse_.BeginEmptyBuild();
-  options.target_is_scratch = true;
+  deployer::Deployer dep(source_, scratch.get());
   QUARRY_ASSIGN_OR_RETURN(
       deployer::DeploymentOutcome outcome,
-      DeployResilientInternal(scratch.get(), std::move(options)));
+      dep.DeployTransactional(design_->schema(), design_->flow(), *mapping_,
+                              options, ctx));
   // A failed build never publishes: the scratch dies with this scope and
   // the currently-served generation is untouched. Best-effort partials do
   // publish — the stale lane and the metadata record mark them degraded.
   if (!outcome.success && !outcome.partial) return outcome;
+  Result<uint64_t> published = PublishGeneration(std::move(scratch));
+  if (published.ok()) {
+    outcome.published_generation = *published;
+    return outcome;
+  }
+  // O(1) rollback: the built scratch is simply discarded and readers keep
+  // the previously published generation. The deployment record already
+  // written must not claim a deployment that never went live.
+  repository_.store().RestoreFrom(metadata_before);
+  deployer::DeploymentFailure failure;
+  failure.stage = "publish";
+  failure.rolled_back = true;
+  failure.cause = published.status();
+  outcome.success = false;
+  outcome.partial = false;
+  outcome.failure = std::move(failure);
+  return outcome;
+}
+
+Result<etl::ExecutionReport> Quarry::RefreshServing(const ExecContext* ctx) {
+  return DesignLane("refresh_serving", ctx, [&](const ExecContext* attributed) {
+    return RefreshServingInternal(attributed);
+  });
+}
+
+Result<etl::ExecutionReport> Quarry::RefreshServingInternal(
+    const ExecContext* ctx) {
+  if (!warehouse_.has_generation()) {
+    return Status::NotFound(
+        "no published warehouse generation to refresh — run DeployServing "
+        "first");
+  }
+  QUARRY_NAMED_SPAN(span, "quarry.refresh_serving");
+  QUARRY_SPAN_ATTR(span, "request_id", static_cast<int64_t>(RequestId(ctx)));
+  if (!TenantId(ctx).empty()) {
+    QUARRY_SPAN_ATTR(span, "tenant", TenantId(ctx));
+  }
+  BuildInFlight build(&serving_builds_in_flight_);
+  // Clone-merge-publish: readers keep serving generation N from their pins
+  // while the loaders merge the source delta into the clone.
+  std::unique_ptr<storage::Database> scratch = warehouse_.BeginBuild();
+  deployer::Deployer dep(source_, scratch.get());
+  QUARRY_ASSIGN_OR_RETURN(
+      etl::ExecutionReport result,
+      dep.Refresh(design_->flow(), {}, ctx, config_.etl_exec));
+  QUARRY_RETURN_NOT_OK(PublishGeneration(std::move(scratch)).status());
+  return result;
+}
+
+Result<uint64_t> Quarry::PublishGeneration(
+    std::unique_ptr<storage::Database> scratch) {
   // The schema snapshot is published atomically with the data so queries
   // never read a schema newer (or older) than the tables they scan. Its
   // serialized form rides along so a durable store can persist it and
   // recovery can serve queries straight from disk (§10).
   auto annex = std::make_shared<const md::MdSchema>(design_->schema());
   const std::string annex_bytes = xml::Write(*annex->ToXml());
-  Result<uint64_t> published =
-      warehouse_.Publish(std::move(scratch), std::move(annex), annex_bytes);
-  if (published.ok()) {
-    outcome.published_generation = *published;
-  }
-  if (!published.ok()) {
-    // O(1) rollback: nothing to restore — the built scratch is simply
-    // discarded and readers keep the previously published generation.
-    deployer::DeploymentFailure failure;
-    failure.stage = "publish";
-    failure.rolled_back = true;
-    failure.cause = published.status();
-    outcome.success = false;
-    outcome.partial = false;
-    outcome.failure = std::move(failure);
-  }
-  return outcome;
-}
-
-Result<etl::ExecutionReport> Quarry::RefreshServing(const ExecContext* ctx) {
-  RequestScope scope("refresh_serving", &ctx);
-  Result<TenantRegistry::Lease> lease = tenants_.Admit(ctx);
-  if (!lease.ok()) {
-    scope.Finish(lease.status());
-    return lease.status();
-  }
-  double wait = 0.0;
-  Result<AdmissionController::Ticket> ticket = admission_->Admit(ctx, &wait);
-  scope.set_admission_wait(wait);
-  if (!ticket.ok()) {
-    lease->Complete(ticket.status());
-    scope.Finish(ticket.status());
-    return ticket.status();
-  }
-  std::lock_guard<std::mutex> lock(submit_mu_);
-  Result<etl::ExecutionReport> report = [&]() -> Result<etl::ExecutionReport> {
-    if (!warehouse_.has_generation()) {
-      return Status::NotFound(
-          "no published warehouse generation to refresh — run DeployServing "
-          "first");
-    }
-    QUARRY_NAMED_SPAN(span, "quarry.refresh_serving");
-    QUARRY_SPAN_ATTR(span, "request_id", static_cast<int64_t>(scope.id()));
-    if (!TenantId(ctx).empty()) {
-      QUARRY_SPAN_ATTR(span, "tenant", TenantId(ctx));
-    }
-    BuildInFlight build(&serving_builds_in_flight_);
-    // Clone-merge-publish: readers keep serving generation N from their
-    // pins while the loaders merge the source delta into the clone.
-    std::unique_ptr<storage::Database> scratch = warehouse_.BeginBuild();
-    deployer::Deployer dep(source_, scratch.get());
-    QUARRY_ASSIGN_OR_RETURN(
-        etl::ExecutionReport result,
-        dep.Refresh(design_->flow(), {}, ctx, config_.etl_exec));
-    auto annex = std::make_shared<const md::MdSchema>(design_->schema());
-    const std::string annex_bytes = xml::Write(*annex->ToXml());
-    QUARRY_RETURN_NOT_OK(
-        warehouse_.Publish(std::move(scratch), std::move(annex), annex_bytes)
-            .status());
-    return result;
-  }();
-  if (report.ok()) {
-    scope.record().rows = report->rows_processed;
-    scope.record().generation = warehouse_.current_generation();
-    scope.record().slowest_ops = SlowestOpsFromReport(*report);
-  }
-  lease->Complete(report.status());
-  scope.Finish(report.status());
-  return report;
+  return warehouse_.Publish(std::move(scratch), std::move(annex), annex_bytes);
 }
 
 Result<QueryResult> Quarry::SubmitQuery(const olap::CubeQuery& query,

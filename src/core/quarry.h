@@ -58,14 +58,14 @@ struct QuarryConfig {
   integrator::MdIntegrationOptions md_options;
   etl::CostModelConfig etl_cost;
   std::string database_name = "demo";
-  /// Gate in front of the design-mutating entry points — Submit* and the
-  /// direct Refresh / DeployResilient / *Serving calls alike
+  /// Gate in front of the design-mutating entry points: the Submit*
+  /// requirement calls, DeployServing and RefreshServing
   /// (docs/ROBUSTNESS.md §7, §9.4).
   AdmissionOptions admission;
-  /// How ETL runs execute (docs/ROBUSTNESS.md §8): `max_workers > 1` runs
-  /// Deploy/Refresh flows on the wavefront scheduler. Applied to Refresh /
-  /// SubmitRefresh always, and to DeployResilient / SubmitDeploy unless the
-  /// caller's DeployOptions ask for parallelism themselves.
+  /// How the ETL runs of DeployServing and RefreshServing execute
+  /// (docs/ROBUSTNESS.md §8): `max_workers > 1` runs them on the wavefront
+  /// scheduler, `vectorized` on the chunk runtime. The only exec setting of
+  /// Quarry's deploys: DeployOptions::exec is overridden with it.
   etl::ExecOptions etl_exec;
   /// Snapshot-isolated serving (docs/ROBUSTNESS.md §9).
   ServingOptions serving;
@@ -121,8 +121,11 @@ struct RecoveryReport {
 ///      satisfiability), and records every artifact (xRQ / partial and
 ///      unified xMD + xLM) in the metadata repository.
 ///   4. RemoveRequirement() / ChangeRequirement() accommodate evolution.
-///   5. Deploy() emits SQL + ktr, creates the DW star schema and runs the
-///      unified ETL to populate it.
+///   5. DeployServing() emits SQL + ktr, creates the DW star schema in a
+///      fresh warehouse generation, runs the unified ETL to populate it and
+///      publishes it; RefreshServing() publishes the next generation with
+///      the source changes merged in. SubmitQuery() answers cube queries
+///      from a pinned generation; warehouse().Acquire()->db() reads one.
 class Quarry {
  public:
   /// Validates the mapping against the ontology, snapshots source table
@@ -167,15 +170,6 @@ class Quarry {
   /// EnableServingDurability.
   const RecoveryReport& recovery_report() const { return recovery_report_; }
 
-  /// Compat accessor for the metadata half of recovery_report() — the
-  /// pre-§10 surface, kept so existing callers keep compiling.
-  const docstore::RecoveryStats& recovery_stats() const {
-    return recovery_report_.metadata;
-  }
-  void set_recovery_stats(docstore::RecoveryStats stats) {
-    recovery_report_.metadata = std::move(stats);
-  }
-
   const md::MdSchema& schema() const { return design_->schema(); }
   const etl::Flow& flow() const { return design_->flow(); }
   const std::map<std::string, req::InformationRequirement>& requirements()
@@ -202,26 +196,9 @@ class Quarry {
   Result<integrator::IntegrationOutcome> ChangeRequirement(
       const req::InformationRequirement& ir, const ExecContext* ctx = nullptr);
 
-  /// Deploys the unified design into `target`.
-  Result<deployer::DeploymentReport> Deploy(storage::Database* target);
-
-  /// Transactional deployment of the unified design into `target`
-  /// (docs/ROBUSTNESS.md): per-node ETL retries, rollback (or best-effort
-  /// partial keep) on failure, and a deployment record in the metadata
-  /// repository. `options.database_name` and `options.metadata` are
-  /// overridden with this instance's configuration and repository store;
-  /// attach a request lifecycle via `options.context`.
-  Result<deployer::DeploymentOutcome> DeployResilient(
-      storage::Database* target, deployer::DeployOptions options = {});
-
-  /// Incrementally refreshes an already-deployed `target` with whatever
-  /// changed in the source since the last Deploy/Refresh (idempotent
-  /// loaders skip known keys).
-  Result<etl::ExecutionReport> Refresh(storage::Database* target,
-                                       const ExecContext* ctx = nullptr);
-
-  /// The gate in front of the Submit* entry points. Exposed so callers can
-  /// observe load (in_flight / queue_depth) or share it across instances.
+  /// The design-lane gate (Submit*, DeployServing, RefreshServing). Exposed
+  /// so callers can observe load (in_flight / queue_depth) or share it
+  /// across instances.
   AdmissionController& admission() { return *admission_; }
 
   /// Multi-tenant quota gate in front of every admission lane
@@ -238,11 +215,13 @@ class Quarry {
 
   // --- admission-gated entry points (docs/ROBUSTNESS.md §7) ---------------
   //
-  // Each Submit* first passes the admission controller — waiting FIFO for a
-  // slot, or failing fast with kOverloaded / kDeadlineExceeded / kCancelled
-  // under load — then runs the corresponding operation with `ctx` attached.
-  // Design mutations are serialized internally, so concurrent Submit*
-  // callers are safe; the admission gate bounds how many of them pile up.
+  // Each Submit* — and DeployServing / RefreshServing below — first passes
+  // the tenant gate and the design-lane admission controller — waiting FIFO
+  // for a slot, or failing fast with kOverloaded / kDeadlineExceeded /
+  // kCancelled under load — then runs the corresponding operation with
+  // `ctx` attached. Design mutations are serialized internally, so
+  // concurrent callers are safe; the admission gate bounds how many of them
+  // pile up.
 
   Result<integrator::IntegrationOutcome> SubmitRequirement(
       const req::InformationRequirement& ir, const ExecContext* ctx = nullptr);
@@ -253,22 +232,14 @@ class Quarry {
   Status SubmitRemoveRequirement(const std::string& ir_id,
                                  const ExecContext* ctx = nullptr);
 
-  /// `options.context` is overridden with `ctx`.
-  Result<deployer::DeploymentOutcome> SubmitDeploy(
-      storage::Database* target, deployer::DeployOptions options = {},
-      const ExecContext* ctx = nullptr);
-
-  Result<etl::ExecutionReport> SubmitRefresh(storage::Database* target,
-                                             const ExecContext* ctx = nullptr);
-
   // --- snapshot-isolated serving (docs/ROBUSTNESS.md §9) ------------------
   //
-  // Instead of deploying into a caller-owned mutable Database, the serving
-  // path owns a GenerationStore of immutable published generations. Deploy /
-  // refresh build the next generation off to the side and atomically publish
-  // it on success; queries pin one generation for their whole run, so a
-  // concurrent refresh can never tear a result. A mid-build fault discards
-  // the scratch — rollback is O(1), never a full-warehouse RestoreFrom.
+  // The warehouse is a GenerationStore of immutable published generations.
+  // Deploy / refresh build the next generation off to the side and
+  // atomically publish it on success; queries pin one generation for their
+  // whole run, so a concurrent refresh can never tear a result. A mid-build
+  // fault discards the scratch — rollback is O(1), never a full-warehouse
+  // copy-back.
 
   /// The generation store behind the serving path. Read-only access for
   /// observation (current_generation, stats, Acquire for ad-hoc pins);
@@ -276,15 +247,21 @@ class Quarry {
   storage::GenerationStore& warehouse() { return warehouse_; }
   const storage::GenerationStore& warehouse() const { return warehouse_; }
 
-  /// Deploys the unified design as the next warehouse generation: builds a
-  /// scratch database off to the side (DeployTransactional with
-  /// target_is_scratch), and on success — or a best-effort partial —
-  /// publishes it together with a snapshot of the MD schema. On failure the
-  /// scratch is simply discarded: the currently-served generation is
-  /// untouched and readers never observe intermediate state. The publish
-  /// step itself is a fault site ("storage.generation.publish"); a publish
-  /// fault reports stage "publish" and likewise discards the scratch.
-  /// Admission-gated on the design lane.
+  /// Deploys the unified design as the next warehouse generation
+  /// (docs/ROBUSTNESS.md §4, §9): builds an empty scratch database off to
+  /// the side (Deployer::DeployTransactional: per-node ETL retries, a
+  /// deployment record in the metadata repository), and on success — or a
+  /// best-effort partial — publishes it together with a snapshot of the MD
+  /// schema. On failure the scratch is simply discarded: the
+  /// currently-served generation is untouched and readers never observe
+  /// intermediate state. The publish step itself is a fault site
+  /// ("storage.generation.publish"); a publish (or durable persist) failure
+  /// reports stage "publish", discards the scratch and restores the
+  /// metadata repository, deployment record included, so any failed
+  /// deployment leaves repository().store() byte-identical.
+  /// `options.database_name`, `options.metadata` and `options.exec` are
+  /// overridden with this instance's configuration, repository store and
+  /// QuarryConfig::etl_exec. Admission-gated on the design lane.
   Result<deployer::DeploymentOutcome> DeployServing(
       deployer::DeployOptions options = {}, const ExecContext* ctx = nullptr);
 
@@ -321,16 +298,28 @@ class Quarry {
   Quarry(ontology::Ontology onto, ontology::SourceMapping mapping,
          const storage::Database* source, QuarryConfig config);
 
+  friend Result<std::unique_ptr<Quarry>> LoadSession(
+      const std::string& dir, const storage::Database* source,
+      QuarryConfig config, docstore::RecoveryStats* stats);
+
   Status RefreshUnifiedArtifacts();
 
-  // Un-gated bodies of the admission-gated public entry points. Callers
-  // hold submit_mu_ and have already passed the design-lane gate.
-  Result<deployer::DeploymentOutcome> DeployResilientInternal(
-      storage::Database* target, deployer::DeployOptions options);
-  Result<etl::ExecutionReport> RefreshInternal(storage::Database* target,
-                                               const ExecContext* ctx);
+  /// The design lane every gated entry point but SubmitQuery shares:
+  /// tenant lease, design-lane admission, then `body(ctx)` under submit_mu_,
+  /// then the lease completion and the request record of `kind`. `ctx` is
+  /// never null inside `body`: the request scope supplies one.
+  template <typename Body>
+  auto DesignLane(const char* kind, const ExecContext* ctx, Body&& body)
+      -> decltype(body(ctx));
+
+  // Un-gated bodies of DeployServing / RefreshServing. Callers hold
+  // submit_mu_ and have already passed the design-lane gate.
   Result<deployer::DeploymentOutcome> DeployServingInternal(
-      deployer::DeployOptions options);
+      deployer::DeployOptions options, const ExecContext* ctx);
+  Result<etl::ExecutionReport> RefreshServingInternal(const ExecContext* ctx);
+  /// Publishes `scratch` with a snapshot of the current MD schema.
+  Result<uint64_t> PublishGeneration(
+      std::unique_ptr<storage::Database> scratch);
 
   /// Serves `query` from a pinned generation. `stale` selects which
   /// generation to pin (previous vs current) and how to label the result.
@@ -355,7 +344,7 @@ class Quarry {
   std::unique_ptr<AdmissionController> stale_admission_;
   /// Per-tenant quotas/priorities/breakers checked before any lane (§11).
   TenantRegistry tenants_;
-  /// Serializes the design-mutating body of Submit* calls: the engine
+  /// Serializes the body of design-lane calls: the engine
   /// itself is single-writer, the admission gate only bounds how many
   /// requests wait for it.
   std::mutex submit_mu_;

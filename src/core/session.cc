@@ -84,7 +84,7 @@ Result<std::unique_ptr<Quarry>> LoadSession(const std::string& dir,
           dir + "' (source data or code version changed?)");
     }
   }
-  quarry->set_recovery_stats(recovery);
+  quarry->recovery_report_.metadata = recovery;
   if (stats != nullptr) *stats = std::move(recovery);
   return quarry;
 }

@@ -31,7 +31,7 @@ Status SaveSession(const Quarry& quarry, const std::string& dir);
 /// unified xMD. Loading performs startup recovery — WAL replay over the
 /// last committed snapshot, torn-tail discard, quarantine of corrupt
 /// collection files — and reports it via `stats` (also surfaced as
-/// Quarry::recovery_stats() on the returned instance).
+/// Quarry::recovery_report().metadata on the returned instance).
 Result<std::unique_ptr<Quarry>> LoadSession(
     const std::string& dir, const storage::Database* source,
     QuarryConfig config = {}, docstore::RecoveryStats* stats = nullptr);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <optional>
 #include <set>
 #include <thread>
@@ -110,34 +109,24 @@ json::Value DeploymentRecord(const DeployOptions& options,
 
 }  // namespace
 
-Result<DeploymentReport> Deployer::Deploy(
-    const md::MdSchema& schema, const etl::Flow& flow,
-    const ontology::SourceMapping& mapping,
-    const std::string& database_name) {
-  DeployOptions options;
-  options.database_name = database_name;
-  QUARRY_ASSIGN_OR_RETURN(
-      DeploymentOutcome outcome,
-      DeployTransactional(schema, flow, mapping, options));
-  if (!outcome.success) {
-    const DeploymentFailure& failure = *outcome.failure;
-    return failure.cause.WithContext("deployment stage '" + failure.stage +
-                                     "'");
-  }
-  return std::move(outcome.report);
-}
-
 Result<DeploymentOutcome> Deployer::DeployTransactional(
     const md::MdSchema& schema, const etl::Flow& flow,
-    const ontology::SourceMapping& mapping, const DeployOptions& options) {
+    const ontology::SourceMapping& mapping, const DeployOptions& options,
+    const ExecContext* ctx) {
+  if (target_->num_tables() > 0) {
+    return Status::InvalidArgument(
+        "deployment target '" + target_->name() + "' is not empty (" +
+        std::to_string(target_->num_tables()) +
+        " tables); deploy into a fresh build");
+  }
   DeploymentOutcome outcome;
   DeploymentReport& report = outcome.report;
   QUARRY_NAMED_SPAN(deploy_span, "deploy");
   QUARRY_SPAN_ATTR(deploy_span, "database", options.database_name);
   QUARRY_SPAN_ATTR(deploy_span, "deployment_id", options.deployment_id);
-  if (RequestId(options.context) != 0) {
+  if (RequestId(ctx) != 0) {
     QUARRY_SPAN_ATTR(deploy_span, "request_id",
-                     static_cast<int64_t>(RequestId(options.context)));
+                     static_cast<int64_t>(RequestId(ctx)));
   }
   DeployCounter("quarry_deploy_attempts_total",
                 "Transactional deployments started")
@@ -147,16 +136,18 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
   // not perturb the per-node backoff sequence.
   Prng backoff_prng(options.retry.jitter_seed ^ 0xD3B07384D113EDECULL);
   double backoff_spent_ms = 0;
-  const ExecContext* ctx = options.context;
 
-  // Pre-deploy snapshots: any mid-deploy failure restores both stores
-  // byte-identically (docs/ROBUSTNESS.md). A scratch target (a private,
-  // unpublished warehouse generation, §9) snapshots as empty: restoring it
-  // just clears the scratch, so the rollback path never deep-copies.
-  std::unique_ptr<storage::Database> db_snapshot =
-      options.target_is_scratch
-          ? std::make_unique<storage::Database>(target_->name())
-          : target_->Clone();
+  // The target starts empty, so undoing its mutations is erasing whatever
+  // tables the deployment created (and the name the DDL may have set);
+  // only the metadata store needs a snapshot to restore byte-identically
+  // (docs/ROBUSTNESS.md).
+  const std::string target_name = target_->name();
+  auto clear_target = [&] {
+    for (const std::string& name : target_->TableNames()) {
+      target_->EraseTable(name);
+    }
+    target_->set_name(target_name);
+  };
   std::optional<docstore::DocumentStore> meta_snapshot;
   if (options.metadata != nullptr) {
     meta_snapshot = options.metadata->Clone();
@@ -167,7 +158,7 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
     DeployCounter("quarry_deploy_rollbacks_total",
                   "Deployments rolled back to the pre-deploy snapshot")
         .Increment();
-    target_->RestoreFrom(*db_snapshot);
+    clear_target();
     if (options.metadata != nullptr) {
       options.metadata->RestoreFrom(*meta_snapshot);
     }
@@ -208,7 +199,7 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
   }
 
   // Stage 2: execute the DDL. A failed script leaves earlier statements
-  // applied, so every retry starts from the restored snapshot.
+  // applied, so every retry starts over from an empty target.
   {
     StageScope stage("ddl");
     QUARRY_SPAN("deploy.ddl");
@@ -226,7 +217,7 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
         break;
       }
       ddl_status = sql_report.status();
-      target_->RestoreFrom(*db_snapshot);
+      clear_target();
       if (attempt < max_attempts) {
         BackoffSleep(options.retry, attempt, &backoff_prng,
                      &backoff_spent_ms, ctx);
@@ -261,7 +252,7 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
     // because the caller gave up" is indistinguishable from a half-deployed
     // warehouse.
     if (options.best_effort && !IsLifecycleError(etl_report.status())) {
-      // Keep only tables whose every loader completed; restore the rest.
+      // Keep only tables whose every loader completed; erase the rest.
       std::set<std::string> keep;
       for (const auto& [table, n] : checkpoint.loaded) keep.insert(table);
       std::set<std::string> completed(checkpoint.completed.begin(),
@@ -274,12 +265,7 @@ Result<DeploymentOutcome> Deployer::DeployTransactional(
         if (it != node.params.end()) keep.erase(it->second);
       }
       for (const std::string& name : target_->TableNames()) {
-        if (keep.count(name) > 0) continue;
-        if (db_snapshot->HasTable(name)) {
-          target_->RestoreTable((*db_snapshot->GetTable(name))->Clone());
-        } else {
-          target_->EraseTable(name);
-        }
+        if (keep.count(name) == 0) target_->EraseTable(name);
       }
       DeploymentFailure failure;
       failure.stage = "etl";

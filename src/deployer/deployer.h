@@ -35,27 +35,12 @@ struct DeployOptions {
   /// independent nodes on the wavefront scheduler (docs/ROBUSTNESS.md §8);
   /// target tables stay byte-identical to a serial run either way.
   etl::ExecOptions exec;
-  /// Request lifecycle (nullable): cancellation + deadline are checked at
-  /// every stage boundary and cooperatively inside the ETL stage; budgets
-  /// apply to the ETL run. A deadline or cancellation mid-deploy always
-  /// takes the full rollback path — even in best-effort mode — so an
-  /// abandoned request never leaves a half-deployed warehouse
-  /// (docs/ROBUSTNESS.md §7).
-  const ExecContext* context = nullptr;
   /// Degraded mode: on an unrecoverable ETL fault, keep the tables whose
   /// loaders completed (typically the dimensions), roll back only the
   /// unfinished ones, and mark the deployment "partial" in the metadata
   /// store instead of rolling everything back.
   bool best_effort = false;
-  /// The target is a disposable scratch generation (serve-while-refresh,
-  /// docs/ROBUSTNESS.md §9): skip the pre-deploy deep Clone() of the
-  /// target and recover against an empty snapshot instead — rollback
-  /// becomes clearing the scratch (the caller discards it wholesale
-  /// anyway) rather than an O(rows) copy-back. The metadata store is still
-  /// snapshotted and rolled back normally. Only set this when nothing else
-  /// can observe the target until it is published.
-  bool target_is_scratch = false;
-  /// Snapshot/rolled back together with the target; receives the
+  /// Snapshotted up front and rolled back on failure; receives the
   /// deployment record in its "deployments" collection. Usually the
   /// metadata repository's underlying store. May be null.
   docstore::DocumentStore* metadata = nullptr;
@@ -68,7 +53,7 @@ struct DeploymentFailure {
   std::string stage;        ///< "generate" | "ddl" | "etl" | "integrity" | "metadata"
   std::string failed_node;  ///< ETL node id (etl stage only).
   std::map<std::string, int64_t> rows_loaded;  ///< Completed loader progress.
-  bool rolled_back = false;  ///< Target + metadata restored to pre-deploy state.
+  bool rolled_back = false;  ///< Target emptied, metadata restored.
   std::vector<std::string> kept_tables;  ///< Best-effort survivors.
   Status cause;              ///< The underlying error.
 };
@@ -83,7 +68,7 @@ struct DeploymentOutcome {
   std::optional<DeploymentFailure> failure;
   /// Serving path only (Quarry::DeployServing): the warehouse generation
   /// this deployment was published as; 0 when nothing was published
-  /// (failure, or a plain into-a-target deployment).
+  /// (failure, or a deployer-level deployment).
   uint64_t published_generation = 0;
 };
 
@@ -93,11 +78,12 @@ struct DeploymentOutcome {
 /// relational engine (the PostgreSQL stand-in) and the unified ETL flow run
 /// on the embedded ETL engine (the Pentaho stand-in) to populate it.
 ///
-/// Deployment is transactional (docs/ROBUSTNESS.md): the target database
-/// and the metadata store are snapshotted up front; any mid-deploy failure
-/// restores both byte-identically and reports a DeploymentFailure, unless
-/// best-effort mode keeps the fully-loaded tables and marks the deployment
-/// partial.
+/// Deployment is transactional (docs/ROBUSTNESS.md): the target is an empty,
+/// unpublished build (a warehouse generation scratch, §9) and the metadata
+/// store is snapshotted up front. Any mid-deploy failure empties the target
+/// again, restores the metadata store byte-identically and reports a
+/// DeploymentFailure, unless best-effort mode keeps the fully-loaded tables
+/// and marks the deployment partial. The caller discards a failed target.
 class Deployer {
  public:
   /// Both databases must outlive the deployer. `source` holds the
@@ -106,21 +92,22 @@ class Deployer {
       : source_(source), target_(target) {}
 
   /// Generates DDL + ktr, executes the DDL against the target, runs the
-  /// flow to populate it, and verifies referential integrity. Thin wrapper
-  /// over DeployTransactional: on failure the target is already rolled
-  /// back and the structured failure's cause is returned as the Status.
-  Result<DeploymentReport> Deploy(const md::MdSchema& schema,
-                                  const etl::Flow& flow,
-                                  const ontology::SourceMapping& mapping,
-                                  const std::string& database_name = "demo");
-
-  /// The full-control deployment path. Only infrastructure misuse (e.g. a
+  /// flow to populate it, verifies referential integrity and records the
+  /// deployment in `options.metadata`. A non-empty target is rejected with
+  /// InvalidArgument. Only infrastructure misuse (a non-empty target, a
   /// cyclic flow) yields a non-OK Result; a deployment that failed and was
   /// rolled back (or degraded to partial) comes back as an OK Result whose
   /// outcome carries the DeploymentFailure.
+  ///
+  /// `ctx` (nullable) carries the request lifecycle: cancellation and
+  /// deadline are checked at every stage boundary and cooperatively inside
+  /// the ETL stage; budgets apply to the ETL run. A deadline or
+  /// cancellation mid-deploy always takes the full rollback path, even in
+  /// best-effort mode (docs/ROBUSTNESS.md §7).
   Result<DeploymentOutcome> DeployTransactional(
       const md::MdSchema& schema, const etl::Flow& flow,
-      const ontology::SourceMapping& mapping, const DeployOptions& options);
+      const ontology::SourceMapping& mapping, const DeployOptions& options,
+      const ExecContext* ctx = nullptr);
 
   /// Incremental refresh of an already-deployed warehouse: re-runs the ETL
   /// flow without touching the schema. Keyed loaders skip rows already

@@ -34,7 +34,7 @@ struct ProfileNode {
 /// dependency on core.
 struct RequestProfile {
   uint64_t request_id = 0;
-  std::string kind;       ///< "query", "deploy", "refresh", ...
+  std::string kind;       ///< "query", "deploy_serving", ...
   std::string lane;       ///< Admission lane ("query", "stale", "" = design).
   std::string status = "ok";
   uint64_t generation = 0;  ///< Warehouse generation served / published.

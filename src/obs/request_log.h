@@ -20,7 +20,7 @@ struct OpTiming {
 /// \brief One request-completion record of the structured event log.
 struct RequestRecord {
   uint64_t id = 0;
-  std::string kind;    ///< "query", "deploy", "refresh", ...
+  std::string kind;    ///< "query", "deploy_serving", ...
   std::string lane;    ///< Admission lane ("query", "stale", "" = design).
   std::string tenant;  ///< Tenant the request ran for ("" = untenanted).
   std::string status = "ok";  ///< "ok" or the status code name.

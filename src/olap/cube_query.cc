@@ -53,22 +53,40 @@ Result<Flow> CubeQueryEngine::Compile(const CubeQuery& query) const {
   auto fact_has = [&](const std::string& column) {
     return fact_table->schema().ColumnIndex(column).has_value();
   };
-  // concept -> columns it must contribute.
+  // concept -> columns it must contribute. A level is joined on its
+  // concept's key columns, so the fact table must carry every one of them:
+  // dim tables hold no parent keys to roll up through.
   std::map<std::string, std::set<std::string>> dim_needs;
   for (const std::string& column : wanted_columns) {
     if (fact_has(column)) continue;
+    const md::Level* unreachable = nullptr;
     bool found = false;
     for (const md::DimensionRef& ref : fact->dimension_refs) {
       QUARRY_ASSIGN_OR_RETURN(const md::Dimension* dim,
                               schema_->GetDimension(ref.dimension));
       for (const md::Level& level : dim->levels) {
-        for (const md::LevelAttribute& attr : level.attributes) {
-          if (attr.name == column) {
-            dim_needs[level.concept_id].insert(column);
-            found = true;
-          }
+        if (std::none_of(level.attributes.begin(), level.attributes.end(),
+                         [&](const md::LevelAttribute& attr) {
+                           return attr.name == column;
+                         })) {
+          continue;
         }
+        QUARRY_ASSIGN_OR_RETURN(auto cm,
+                                mapping_->ForConcept(level.concept_id));
+        if (!std::all_of(cm.key_columns.begin(), cm.key_columns.end(),
+                         fact_has)) {
+          unreachable = &level;
+          continue;
+        }
+        dim_needs[level.concept_id].insert(column);
+        found = true;
       }
+    }
+    if (!found && unreachable != nullptr) {
+      return Status::InvalidArgument(
+          "attribute '" + column + "' of level '" + unreachable->name +
+          "' is not reachable from fact '" + fact->name +
+          "': the fact table lacks the level's key columns");
     }
     if (!found) {
       return Status::NotFound("column '" + column +
@@ -182,9 +200,18 @@ Result<etl::Dataset> CubeQueryEngine::Execute(const CubeQuery& query,
     profile->plan = etl::BuildProfileTrees(flow, profile->report);
   }
   QUARRY_RETURN_NOT_OK(run.status());
+  etl::Dataset out;
+  if (!scratch.HasTable("__result")) {
+    // No row reached the result loader, so it never created its table: the
+    // answer is empty, with the columns a non-empty one would have.
+    out.columns = query.group_by;
+    for (const QueryMeasure& m : query.measures) {
+      out.columns.push_back(m.alias.empty() ? m.measure : m.alias);
+    }
+    return out;
+  }
   QUARRY_ASSIGN_OR_RETURN(const storage::Table* result,
                           scratch.GetTable("__result"));
-  etl::Dataset out;
   for (const storage::Column& c : result->schema().columns()) {
     out.columns.push_back(c.name);
   }

@@ -50,15 +50,13 @@ class Database {
 
   // -- recovery support (see docs/ROBUSTNESS.md) ----------------------------
 
-  /// Deep copy of the whole catalog (schemas, rows, indexes). Transactional
-  /// deployment snapshots the target before mutating it.
+  /// Deep copy of the whole catalog (schemas, rows, indexes). The refresh
+  /// path builds the next warehouse generation on a copy of the current one.
   std::unique_ptr<Database> Clone() const;
 
-  /// Resets this database to the snapshot's state (name and tables).
-  void RestoreFrom(const Database& snapshot);
-
   /// Replaces (or inserts) one table wholesale, bypassing FK admission
-  /// checks — only for restoring a Clone()d snapshot of this database.
+  /// checks — only for restoring a Clone()d snapshot of one table (the
+  /// executor's per-loader rollback).
   void RestoreTable(std::unique_ptr<Table> table);
 
   /// Removes a table without status or fault-injection accounting — only
@@ -67,8 +65,8 @@ class Database {
   void EraseTable(const std::string& name) { tables_.erase(name); }
 
   /// Deterministic content hash over every table's schema and rows. Equal
-  /// state yields equal fingerprints, so rollback tests can assert the
-  /// target is bit-identical to its pre-deploy snapshot.
+  /// state yields equal fingerprints, so rollback tests can assert a
+  /// generation is bit-identical to what was published.
   uint64_t Fingerprint() const;
 
  private:

@@ -103,30 +103,36 @@ TEST_F(QuarryTest, EndToEndLifecycle) {
   EXPECT_EQ(quarry_->requirements().size(), 2u);
   EXPECT_EQ(quarry_->schema().facts().size(), 2u);
 
-  storage::Database dw;
-  auto deployment = quarry_->Deploy(&dw);
+  auto deployment = quarry_->DeployServing();
   ASSERT_TRUE(deployment.ok()) << deployment.status();
-  EXPECT_TRUE(deployment->referential_integrity_ok);
-  EXPECT_GT((*dw.GetTable("fact_table_revenue"))->num_rows(), 0u);
-  EXPECT_GT((*dw.GetTable("fact_table_netprofit"))->num_rows(), 0u);
+  ASSERT_TRUE(deployment->success);
+  EXPECT_TRUE(deployment->report.referential_integrity_ok);
+  auto dw = quarry_->warehouse().Acquire();
+  ASSERT_TRUE(dw.ok()) << dw.status();
+  EXPECT_GT((*dw->db().GetTable("fact_table_revenue"))->num_rows(), 0u);
+  EXPECT_GT((*dw->db().GetTable("fact_table_netprofit"))->num_rows(), 0u);
 
   // Accommodate change: drop netprofit, design shrinks, redeploy works.
   ASSERT_TRUE(quarry_->RemoveRequirement("ir_netprofit").ok());
   EXPECT_EQ(quarry_->schema().facts().size(), 1u);
   EXPECT_TRUE(quarry_->repository().Ids("xrq") ==
               std::vector<std::string>{"ir_revenue"});
-  storage::Database dw2;
-  ASSERT_TRUE(quarry_->Deploy(&dw2).ok());
-  EXPECT_FALSE(dw2.HasTable("fact_table_netprofit"));
+  auto redeployment = quarry_->DeployServing();
+  ASSERT_TRUE(redeployment.ok() && redeployment->success);
+  auto dw2 = quarry_->warehouse().Acquire();
+  ASSERT_TRUE(dw2.ok()) << dw2.status();
+  EXPECT_FALSE(dw2->db().HasTable("fact_table_netprofit"));
 }
 
 TEST_F(QuarryTest, RefreshPicksUpSourceGrowth) {
   ASSERT_TRUE(quarry_->AddRequirement(RevenueIr()).ok());
-  storage::Database dw;
-  auto deployment = quarry_->Deploy(&dw);
-  ASSERT_TRUE(deployment.ok()) << deployment.status();
-  size_t fact_before = (*dw.GetTable("fact_table_revenue"))->num_rows();
-  size_t dim_before = (*dw.GetTable("dim_Part"))->num_rows();
+  auto deployment = quarry_->DeployServing();
+  ASSERT_TRUE(deployment.ok() && deployment->success);
+  auto before = quarry_->warehouse().Acquire();
+  ASSERT_TRUE(before.ok()) << before.status();
+  size_t fact_before =
+      (*before->db().GetTable("fact_table_revenue"))->num_rows();
+  size_t dim_before = (*before->db().GetTable("dim_Part"))->num_rows();
 
   // New part + a lineitem selling it appear in the source.
   storage::Table* part = *src_.GetTable("part");
@@ -151,11 +157,14 @@ TEST_F(QuarryTest, RefreshPicksUpSourceGrowth) {
                             storage::Value::String("N")})
                   .ok());
 
-  auto refresh = quarry_->Refresh(&dw);
+  auto refresh = quarry_->RefreshServing();
   ASSERT_TRUE(refresh.ok()) << refresh.status();
-  EXPECT_EQ((*dw.GetTable("dim_Part"))->num_rows(), dim_before + 1);
-  EXPECT_GT((*dw.GetTable("fact_table_revenue"))->num_rows(), fact_before);
-  EXPECT_TRUE(dw.CheckReferentialIntegrity().ok());
+  auto dw = quarry_->warehouse().Acquire();
+  ASSERT_TRUE(dw.ok()) << dw.status();
+  EXPECT_EQ((*dw->db().GetTable("dim_Part"))->num_rows(), dim_before + 1);
+  EXPECT_GT((*dw->db().GetTable("fact_table_revenue"))->num_rows(),
+            fact_before);
+  EXPECT_TRUE(dw->db().CheckReferentialIntegrity().ok());
 }
 
 TEST_F(QuarryTest, ChangeRequirementReplacesDefinition) {
@@ -242,10 +251,10 @@ TEST_F(QuarryTest, ElicitorToDeploymentPath) {
       {{dims->front().descriptive_properties[0]}}, {});
   ASSERT_TRUE(ir.ok()) << ir.status();
   ASSERT_TRUE(quarry_->AddRequirement(*ir).ok());
-  storage::Database dw;
-  auto deployment = quarry_->Deploy(&dw);
+  auto deployment = quarry_->DeployServing();
   ASSERT_TRUE(deployment.ok()) << deployment.status();
-  EXPECT_TRUE(deployment->referential_integrity_ok);
+  ASSERT_TRUE(deployment->success);
+  EXPECT_TRUE(deployment->report.referential_integrity_ok);
 }
 
 }  // namespace

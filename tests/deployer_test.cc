@@ -99,12 +99,15 @@ TEST_F(DeployerTest, EndToEndDeploymentPopulatesWarehouse) {
   auto design = Interpret(RevenueIr());
   storage::Database target;
   Deployer dep(&src_, &target);
-  auto report = dep.Deploy(design.schema, design.flow, mapping_);
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_EQ(report->tables_created, 3);
-  EXPECT_TRUE(report->referential_integrity_ok);
-  EXPECT_GT(report->etl.loaded.at("fact_table_revenue"), 0);
-  EXPECT_GT(report->etl.loaded.at("dim_Part"), 0);
+  auto outcome =
+      dep.DeployTransactional(design.schema, design.flow, mapping_, {});
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  ASSERT_TRUE(outcome->success) << outcome->failure->cause;
+  const deployer::DeploymentReport& report = outcome->report;
+  EXPECT_EQ(report.tables_created, 3);
+  EXPECT_TRUE(report.referential_integrity_ok);
+  EXPECT_GT(report.etl.loaded.at("fact_table_revenue"), 0);
+  EXPECT_GT(report.etl.loaded.at("dim_Part"), 0);
   // The fact PK (grain) held during the load and FK targets exist.
   EXPECT_TRUE(target.CheckReferentialIntegrity().ok());
 }
@@ -134,9 +137,10 @@ TEST_F(DeployerTest, MergedFactFromTwoRequirementsFillsBothMeasures) {
 
   storage::Database target;
   Deployer dep(&src_, &target);
-  auto report =
-      dep.Deploy(integrator.schema(), integrator.flow(), mapping_);
-  ASSERT_TRUE(report.ok()) << report.status();
+  auto outcome = dep.DeployTransactional(integrator.schema(),
+                                         integrator.flow(), mapping_, {});
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  ASSERT_TRUE(outcome->success) << outcome->failure->cause;
   const storage::Table& fact = **target.GetTable("fact_table_revenue");
   auto rev = fact.schema().ColumnIndex("revenue");
   auto disc = fact.schema().ColumnIndex("avg_discount");

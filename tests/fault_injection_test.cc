@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <set>
 
+#include "core/quarry.h"
 #include "datagen/tpch.h"
 #include "deployer/deployer.h"
 #include "deployer/sql_generator.h"
@@ -27,11 +29,11 @@ using interpreter::Interpreter;
 using req::InformationRequirement;
 
 /// The fault matrix runs the full transactional deployment scenario — DDL,
-/// ETL, integrity check, metadata record — against a TPC-H source, once per
-/// discovered fault site, and asserts the robustness contract of
-/// docs/ROBUSTNESS.md: a transient fault is absorbed by retries, an
-/// unrecoverable one rolls the target database AND the metadata store back
-/// bit-identically to their pre-deploy snapshots.
+/// ETL, integrity check, metadata record — into an empty target against a
+/// TPC-H source, once per discovered fault site, and asserts the robustness
+/// contract of docs/ROBUSTNESS.md: a transient fault is absorbed by retries,
+/// an unrecoverable one empties the target again and rolls the metadata
+/// store back bit-identically to its pre-deploy snapshot.
 class FaultInjectionTest : public ::testing::Test {
  protected:
   FaultInjectionTest()
@@ -75,16 +77,6 @@ class FaultInjectionTest : public ::testing::Test {
     return meta;
   }
 
-  /// Gives the target a pre-existing table, so rollback must restore
-  /// content, not just drop what the deployment created.
-  static void SeedTarget(storage::Database* target) {
-    storage::TableSchema schema("legacy");
-    EXPECT_TRUE(
-        schema.AddColumn({"id", storage::DataType::kInt64, false}).ok());
-    storage::Table* table = *target->CreateTable(std::move(schema));
-    EXPECT_TRUE(table->Insert({storage::Value::Int(7)}).ok());
-  }
-
   DeploymentOutcome Deploy(storage::Database* target,
                            docstore::DocumentStore* meta,
                            DeployOptions options = {}) {
@@ -102,7 +94,6 @@ class FaultInjectionTest : public ::testing::Test {
   std::vector<std::string> DiscoverSites() {
     Injector::Instance().Disable();
     storage::Database target;
-    SeedTarget(&target);
     docstore::DocumentStore meta = SeededMetadata();
     Injector::Instance().ClearConfigs();
     Injector::Instance().Enable(/*seed=*/7);
@@ -209,14 +200,14 @@ TEST_F(FaultInjectionTest, ExecutionErrorsCarryNodeIdAndOperatorType) {
   Injector::Instance().Configure("etl.exec.Join", {.fail_from_hit = 1});
 
   storage::Database target;
-  Deployer dep(&src_, &target);
-  auto report = dep.Deploy(design_.schema, design_.flow, mapping_);
-  ASSERT_FALSE(report.ok());
-  std::string message = report.status().ToString();
+  docstore::DocumentStore meta;
+  DeploymentOutcome outcome = Deploy(&target, &meta);
+  ASSERT_FALSE(outcome.success);
+  ASSERT_TRUE(outcome.failure.has_value());
+  EXPECT_EQ(outcome.failure->stage, "etl");
+  std::string message = outcome.failure->cause.ToString();
   EXPECT_NE(message.find("node '"), std::string::npos) << message;
   EXPECT_NE(message.find("(Join)"), std::string::npos) << message;
-  EXPECT_NE(message.find("deployment stage 'etl'"), std::string::npos)
-      << message;
   EXPECT_NE(message.find("injected fault at 'etl.exec.Join'"),
             std::string::npos)
       << message;
@@ -228,7 +219,6 @@ TEST_F(FaultInjectionTest, RetriesAbsorbTransientFaultAndReportIt) {
                                  {.trigger_on_hit = 1, .max_failures = 1});
 
   storage::Database target;
-  SeedTarget(&target);
   docstore::DocumentStore meta = SeededMetadata();
   DeployOptions options;
   options.retry.max_attempts = 3;
@@ -307,7 +297,6 @@ TEST_F(FaultInjectionTest, EverySiteRecoversFromOneTransientFault) {
     // must not draw the fault meant for the deployment.
     Injector::Instance().Disable();
     storage::Database target;
-    SeedTarget(&target);
     docstore::DocumentStore meta = SeededMetadata();
 
     Injector::Instance().ClearConfigs();
@@ -328,16 +317,34 @@ TEST_F(FaultInjectionTest, EverySiteRecoversFromOneTransientFault) {
   }
 }
 
-TEST_F(FaultInjectionTest, UnrecoverableFaultRollsBackByteIdentically) {
+TEST_F(FaultInjectionTest, DeployTransactionalRejectsANonEmptyTarget) {
+  storage::Database target;
+  storage::TableSchema schema("legacy");
+  ASSERT_TRUE(schema.AddColumn({"id", storage::DataType::kInt64, false}).ok());
+  ASSERT_TRUE(target.CreateTable(std::move(schema)).ok());
+  docstore::DocumentStore meta = SeededMetadata();
+  const uint64_t db_before = target.Fingerprint();
+  const uint64_t meta_before = meta.Fingerprint();
+
+  DeployOptions options;
+  options.metadata = &meta;
+  Deployer dep(&src_, &target);
+  auto outcome = dep.DeployTransactional(design_.schema, design_.flow,
+                                         mapping_, options);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_TRUE(outcome.status().IsInvalidArgument()) << outcome.status();
+  EXPECT_EQ(target.Fingerprint(), db_before);
+  EXPECT_EQ(meta.Fingerprint(), meta_before);
+}
+
+TEST_F(FaultInjectionTest, UnrecoverableFaultRollsBackMetadataByteIdentically) {
   std::vector<std::string> sites = DiscoverSites();
   ASSERT_GT(sites.size(), 0u);
 
   for (const std::string& site : sites) {
     Injector::Instance().Disable();
     storage::Database target;
-    SeedTarget(&target);
     docstore::DocumentStore meta = SeededMetadata();
-    const uint64_t db_before = target.Fingerprint();
     const uint64_t meta_before = meta.Fingerprint();
 
     Injector::Instance().ClearConfigs();
@@ -352,8 +359,8 @@ TEST_F(FaultInjectionTest, UnrecoverableFaultRollsBackByteIdentically) {
     EXPECT_TRUE(outcome.failure->rolled_back) << "site " << site;
     EXPECT_FALSE(outcome.failure->stage.empty()) << "site " << site;
     EXPECT_FALSE(outcome.failure->cause.ok()) << "site " << site;
-    EXPECT_EQ(target.Fingerprint(), db_before)
-        << "site " << site << " left the target modified (stage "
+    EXPECT_EQ(target.num_tables(), 0u)
+        << "site " << site << " left tables in the target (stage "
         << outcome.failure->stage << ")";
     EXPECT_EQ(meta.Fingerprint(), meta_before)
         << "site " << site << " left the metadata store modified";
@@ -373,7 +380,6 @@ TEST_F(FaultInjectionTest, TenPercentFaultRateEverywhereStillDeploys) {
 
   Injector::Instance().Disable();
   storage::Database target;
-  SeedTarget(&target);
   docstore::DocumentStore meta = SeededMetadata();
   Injector::Instance().Enable(1234);
   DeploymentOutcome outcome = Deploy(&target, &meta, options);
@@ -389,7 +395,6 @@ TEST_F(FaultInjectionTest, TenPercentFaultRateEverywhereStillDeploys) {
   // Same seed + same configs => the identical failure sequence, end to end.
   Injector::Instance().Disable();
   storage::Database target2;
-  SeedTarget(&target2);
   docstore::DocumentStore meta2 = SeededMetadata();
   Injector::Instance().Enable(1234);
   DeploymentOutcome outcome2 = Deploy(&target2, &meta2, options);
@@ -415,7 +420,7 @@ TEST_F(FaultInjectionTest, BestEffortKeepsFullyLoadedTables) {
                                  {.fail_from_hit = loader_writes});
   Injector::Instance().Enable(5);
 
-  storage::Database target;  // empty pre-deploy: rollback erases tables
+  storage::Database target;
   docstore::DocumentStore meta = SeededMetadata();
   DeployOptions options;
   options.best_effort = true;
@@ -429,7 +434,7 @@ TEST_F(FaultInjectionTest, BestEffortKeepsFullyLoadedTables) {
   EXPECT_FALSE(outcome.failure->rolled_back);
   EXPECT_EQ(outcome.failure->kept_tables.size(),
             static_cast<size_t>(loader_writes - 1));
-  // Only the kept tables survive; the half-loaded one was restored away.
+  // Only the kept tables survive; the half-loaded one was erased.
   EXPECT_EQ(target.TableNames().size(), outcome.failure->kept_tables.size());
   for (const std::string& name : outcome.failure->kept_tables) {
     ASSERT_TRUE(target.HasTable(name)) << name;
@@ -466,7 +471,6 @@ TEST_F(FaultInjectionTest, ParallelEverySiteRecoversFromOneTransientFault) {
   for (const std::string& site : sites) {
     Injector::Instance().Disable();
     storage::Database target;
-    SeedTarget(&target);
     docstore::DocumentStore meta = SeededMetadata();
 
     // Count-based triggers only: which worker draws the Nth hit varies,
@@ -491,16 +495,15 @@ TEST_F(FaultInjectionTest, ParallelEverySiteRecoversFromOneTransientFault) {
   }
 }
 
-TEST_F(FaultInjectionTest, ParallelUnrecoverableFaultRollsBackByteIdentically) {
+TEST_F(FaultInjectionTest,
+       ParallelUnrecoverableFaultRollsBackMetadataByteIdentically) {
   std::vector<std::string> sites = ExecutorSites(DiscoverSites());
   ASSERT_GT(sites.size(), 0u);
 
   for (const std::string& site : sites) {
     Injector::Instance().Disable();
     storage::Database target;
-    SeedTarget(&target);
     docstore::DocumentStore meta = SeededMetadata();
-    const uint64_t db_before = target.Fingerprint();
     const uint64_t meta_before = meta.Fingerprint();
 
     Injector::Instance().ClearConfigs();
@@ -514,10 +517,10 @@ TEST_F(FaultInjectionTest, ParallelUnrecoverableFaultRollsBackByteIdentically) {
     ASSERT_FALSE(outcome.success) << "site " << site;
     ASSERT_TRUE(outcome.failure.has_value()) << "site " << site;
     EXPECT_TRUE(outcome.failure->rolled_back) << "site " << site;
-    // In-flight siblings drained before rollback; nothing they wrote may
+    // In-flight siblings drained before rollback; no table they wrote may
     // survive, including half-written loader targets.
-    EXPECT_EQ(target.Fingerprint(), db_before)
-        << "site " << site << " left the target modified (stage "
+    EXPECT_EQ(target.num_tables(), 0u)
+        << "site " << site << " left tables in the target (stage "
         << outcome.failure->stage << ")";
     EXPECT_EQ(meta.Fingerprint(), meta_before)
         << "site " << site << " left the metadata store modified";
@@ -586,7 +589,6 @@ class VectorizedFaultTest : public FaultInjectionTest {
   std::vector<std::string> DiscoverVectorizedSites() {
     Injector::Instance().Disable();
     storage::Database target;
-    SeedTarget(&target);
     docstore::DocumentStore meta = SeededMetadata();
     Injector::Instance().ClearConfigs();
     Injector::Instance().Enable(/*seed=*/7);
@@ -613,7 +615,6 @@ TEST_F(VectorizedFaultTest, EverySiteRecoversFromOneTransientFault) {
   for (const std::string& site : sites) {
     Injector::Instance().Disable();
     storage::Database target;
-    SeedTarget(&target);
     docstore::DocumentStore meta = SeededMetadata();
 
     Injector::Instance().ClearConfigs();
@@ -634,16 +635,15 @@ TEST_F(VectorizedFaultTest, EverySiteRecoversFromOneTransientFault) {
   }
 }
 
-TEST_F(VectorizedFaultTest, UnrecoverableFaultRollsBackByteIdentically) {
+TEST_F(VectorizedFaultTest,
+       UnrecoverableFaultRollsBackMetadataByteIdentically) {
   std::vector<std::string> sites = ExecutorSites(DiscoverVectorizedSites());
   ASSERT_GT(sites.size(), 0u);
 
   for (const std::string& site : sites) {
     Injector::Instance().Disable();
     storage::Database target;
-    SeedTarget(&target);
     docstore::DocumentStore meta = SeededMetadata();
-    const uint64_t db_before = target.Fingerprint();
     const uint64_t meta_before = meta.Fingerprint();
 
     Injector::Instance().ClearConfigs();
@@ -656,8 +656,8 @@ TEST_F(VectorizedFaultTest, UnrecoverableFaultRollsBackByteIdentically) {
     ASSERT_FALSE(outcome.success) << "site " << site;
     ASSERT_TRUE(outcome.failure.has_value()) << "site " << site;
     EXPECT_TRUE(outcome.failure->rolled_back) << "site " << site;
-    EXPECT_EQ(target.Fingerprint(), db_before)
-        << "site " << site << " left the target modified (stage "
+    EXPECT_EQ(target.num_tables(), 0u)
+        << "site " << site << " left tables in the target (stage "
         << outcome.failure->stage << ")";
     EXPECT_EQ(meta.Fingerprint(), meta_before)
         << "site " << site << " left the metadata store modified";
@@ -674,7 +674,6 @@ TEST_F(VectorizedFaultTest, MidChunkTransientFaultRetriesTheWholeNode) {
   Injector::Instance().Enable(11);
 
   storage::Database target;
-  SeedTarget(&target);
   docstore::DocumentStore meta = SeededMetadata();
   deployer::DeployOptions options = VectorizedOptions();
   options.retry.max_attempts = 3;
@@ -740,6 +739,122 @@ TEST_F(VectorizedFaultTest, MidChunkFaultResumesFromChunkBoundaryCheckpoint) {
   EXPECT_LT(resumed->nodes.size(), clean->nodes.size());
   EXPECT_EQ(resumed->loaded, clean->loaded);
   EXPECT_EQ(target.Fingerprint(), reference.Fingerprint());
+}
+
+// ---------------------------------------------------------------------------
+// The generation-level rollback matrix (docs/ROBUSTNESS.md §4, §9, §10):
+// Quarry deploys only into a fresh warehouse generation, so the rollback
+// contract is stated on what readers and a restart can observe. An instance
+// already serving generation 1 — metadata and warehouse both durable, so the
+// WAL and generation-persist sites are part of the surface — runs a second
+// DeployServing once per discovered site with that site failing
+// permanently. Every run must come back rolled back, with the served
+// generation, its published fingerprint, the publish count and the metadata
+// repository all unchanged.
+
+class GenerationRollbackTest : public FaultInjectionTest {
+ protected:
+  void TearDown() override {
+    FaultInjectionTest::TearDown();
+    for (const std::string& dir : dirs_) std::filesystem::remove_all(dir);
+  }
+
+  /// A durable instance under `exec` that serves generation 1.
+  std::unique_ptr<core::Quarry> ServingGenerationOne(
+      const etl::ExecOptions& exec, const std::string& name) {
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / name).string();
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    dirs_.push_back(dir);
+    core::QuarryConfig config;
+    config.etl_exec = exec;
+    auto quarry = core::Quarry::Create(ontology::BuildTpchOntology(),
+                                       ontology::BuildTpchMappings(), &src_,
+                                       config);
+    EXPECT_TRUE(quarry.ok()) << quarry.status();
+    EXPECT_TRUE((*quarry)->AddRequirement(RevenueIr()).ok());
+    EXPECT_TRUE((*quarry)->EnableDurability(dir).ok());
+    EXPECT_TRUE((*quarry)->EnableServingDurability(dir + "/warehouse").ok());
+    auto first = (*quarry)->DeployServing();
+    EXPECT_TRUE(first.ok() && first->success);
+    EXPECT_EQ((*quarry)->warehouse().current_generation(), 1u);
+    return std::move(*quarry);
+  }
+
+  void RunMatrix(const etl::ExecOptions& exec, const std::string& name) {
+    // A record id of its own, so a deployment record leaked by a failed
+    // second deploy cannot hide behind the identical first one.
+    deployer::DeployOptions second_deploy;
+    second_deploy.deployment_id = "second";
+    Injector::Instance().Disable();
+    std::vector<std::string> sites;
+    {
+      std::unique_ptr<core::Quarry> probe =
+          ServingGenerationOne(exec, name + "_probe");
+      Injector::Instance().ClearConfigs();
+      Injector::Instance().Enable(/*seed=*/7);
+      auto second = probe->DeployServing(second_deploy);
+      sites = Injector::Instance().HitSites();
+      Injector::Instance().Disable();
+      ASSERT_TRUE(second.ok() && second->success);
+    }
+    std::set<std::string> surface(sites.begin(), sites.end());
+    ASSERT_TRUE(surface.count("storage.generation.publish"));
+    ASSERT_TRUE(surface.count("storage.generation.persist.manifest"));
+    ASSERT_TRUE(surface.count("docstore.collection.upsert"));
+
+    // Every run below must leave the instance exactly as it was, so one
+    // instance serves the whole matrix.
+    std::unique_ptr<core::Quarry> quarry = ServingGenerationOne(exec, name);
+    const storage::GenerationStore& warehouse = quarry->warehouse();
+    const uint64_t fingerprint = *warehouse.PublishedFingerprint(1);
+    const uint64_t published = warehouse.stats().published;
+    const uint64_t metadata = quarry->repository().store().Fingerprint();
+    for (const std::string& site : sites) {
+      Injector::Instance().ClearConfigs();
+      Injector::Instance().Configure(site, {.fail_from_hit = 1});
+      Injector::Instance().Enable(7);
+      auto outcome = quarry->DeployServing(second_deploy);
+      Injector::Instance().Disable();
+
+      ASSERT_TRUE(outcome.ok()) << "site " << site << ": "
+                                << outcome.status();
+      ASSERT_FALSE(outcome->success) << "site " << site;
+      ASSERT_TRUE(outcome->failure.has_value()) << "site " << site;
+      EXPECT_TRUE(outcome->failure->rolled_back)
+          << "site " << site << " (stage " << outcome->failure->stage << ")";
+      EXPECT_EQ(outcome->published_generation, 0u) << "site " << site;
+      EXPECT_EQ(warehouse.current_generation(), 1u) << "site " << site;
+      EXPECT_EQ(*warehouse.PublishedFingerprint(1), fingerprint)
+          << "site " << site;
+      EXPECT_EQ(warehouse.Acquire()->db().Fingerprint(), fingerprint)
+          << "site " << site;
+      EXPECT_EQ(warehouse.stats().published, published) << "site " << site;
+      EXPECT_EQ(quarry->repository().store().Fingerprint(), metadata)
+          << "site " << site << " left the metadata repository modified "
+          << "(stage " << outcome->failure->stage << ")";
+    }
+  }
+
+  std::vector<std::string> dirs_;
+};
+
+TEST_F(GenerationRollbackTest, SerialDeployServingRollsBackAtEverySite) {
+  RunMatrix(etl::ExecOptions{}, "quarry_generation_rollback_serial");
+}
+
+TEST_F(GenerationRollbackTest, ParallelDeployServingRollsBackAtEverySite) {
+  etl::ExecOptions exec;
+  exec.max_workers = 4;
+  RunMatrix(exec, "quarry_generation_rollback_parallel");
+}
+
+TEST_F(GenerationRollbackTest, VectorizedDeployServingRollsBackAtEverySite) {
+  etl::ExecOptions exec;
+  exec.vectorized = true;
+  exec.chunk_size = 32;
+  RunMatrix(exec, "quarry_generation_rollback_vectorized");
 }
 
 }  // namespace

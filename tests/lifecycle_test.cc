@@ -419,18 +419,13 @@ class DeployLifecycleTest : public ::testing::Test {
     design_ = std::move(*design);
   }
 
-  /// Seeds target + metadata with pre-existing content and returns the
-  /// outcome of a transactional deploy under `ctx`.
+  /// Seeds the metadata store with pre-existing content and returns the
+  /// outcome of a transactional deploy into the empty `target` under `ctx`.
   DeploymentOutcome DeployUnder(const ExecContext* ctx, bool best_effort,
                                 uint64_t* target_fp_before,
                                 uint64_t* meta_fp_before,
                                 storage::Database* target,
                                 docstore::DocumentStore* meta) {
-    storage::TableSchema legacy("legacy");
-    EXPECT_TRUE(
-        legacy.AddColumn({"id", storage::DataType::kInt64, false}).ok());
-    Table* t = *target->CreateTable(std::move(legacy));
-    EXPECT_TRUE(t->Insert({Value::Int(7)}).ok());
     json::Object doc;
     doc.emplace_back("_id", json::Value("onto"));
     EXPECT_TRUE(meta->GetOrCreate("ontologies")
@@ -439,13 +434,12 @@ class DeployLifecycleTest : public ::testing::Test {
     *target_fp_before = target->Fingerprint();
     *meta_fp_before = meta->Fingerprint();
     DeployOptions options;
-    options.context = ctx;
     options.best_effort = best_effort;
     options.metadata = meta;
     Deployer dep(&src_, target);
     auto outcome =
         dep.DeployTransactional(design_.schema, design_.flow, mapping_,
-                                options);
+                                options, ctx);
     EXPECT_TRUE(outcome.ok()) << outcome.status();
     return std::move(*outcome);
   }
@@ -587,13 +581,11 @@ TEST_F(SlowFlowDeadlineTest, FiftyMsDeadlineFailsPromptlyAndResumes) {
 TEST_F(SlowFlowDeadlineTest, FiftyMsDeadlineDeployLeavesNoTrace) {
   storage::Database target;
   uint64_t fp_before = target.Fingerprint();
-  DeployOptions options;
   ExecContext ctx(Deadline::After(50.0));
-  options.context = &ctx;
   Deployer dep(&src_, &target);
   auto outcome =
       dep.DeployTransactional(design_.schema, design_.flow, mapping_,
-                              options);
+                              DeployOptions{}, &ctx);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_FALSE(outcome->success);
   ASSERT_TRUE(outcome->failure.has_value());
@@ -752,11 +744,12 @@ TEST_F(SubmitTest, SubmitRequirementAndDeployEndToEnd) {
       quarry_->SubmitRequirement(RevenueIr());
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_EQ(quarry_->requirements().size(), 1u);
-  storage::Database target;
-  auto deploy = quarry_->SubmitDeploy(&target);
+  auto deploy = quarry_->DeployServing();
   ASSERT_TRUE(deploy.ok()) << deploy.status();
   EXPECT_TRUE(deploy->success);
-  EXPECT_TRUE(target.HasTable("fact_table_revenue"));
+  auto pin = quarry_->warehouse().Acquire();
+  ASSERT_TRUE(pin.ok()) << pin.status();
+  EXPECT_TRUE(pin->db().HasTable("fact_table_revenue"));
   // The gate is fully released after each call.
   EXPECT_EQ(quarry_->admission().in_flight(), 0);
 }

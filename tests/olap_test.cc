@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "core/quarry.h"
@@ -32,14 +33,18 @@ class CubeQueryTest : public ::testing::Test {
     ir.dimensions.push_back({"Part.p_type"});
     ir.dimensions.push_back({"Supplier.s_name"});
     ASSERT_TRUE(quarry_->AddRequirement(ir).ok());
-    ASSERT_TRUE(quarry_->Deploy(&warehouse_).ok());
+    auto deployment = quarry_->DeployServing();
+    ASSERT_TRUE(deployment.ok() && deployment->success);
+    auto pin = quarry_->warehouse().Acquire();
+    ASSERT_TRUE(pin.ok()) << pin.status();
+    warehouse_ = std::move(*pin);
     engine_ = std::make_unique<CubeQueryEngine>(
-        &quarry_->schema(), &quarry_->mapping(), &warehouse_);
+        &quarry_->schema(), &quarry_->mapping(), &warehouse_.db());
   }
 
   storage::Database src_;
   std::unique_ptr<core::Quarry> quarry_;
-  storage::Database warehouse_;
+  storage::GenerationStore::Pin warehouse_;
   std::unique_ptr<CubeQueryEngine> engine_;
 };
 
@@ -61,7 +66,7 @@ TEST_F(CubeQueryTest, RollUpByDimensionAttribute) {
     rolled_up += row[1].as_double();
   }
   double fact_total = 0;
-  const storage::Table& fact = **warehouse_.GetTable("fact_table_revenue");
+  const storage::Table& fact = **warehouse_.db().GetTable("fact_table_revenue");
   auto rev = *fact.schema().ColumnIndex("revenue");
   for (const storage::Row& row : fact.rows()) {
     fact_total += row[rev].as_double();
@@ -99,6 +104,85 @@ TEST_F(CubeQueryTest, SliceWithDimensionFilter) {
   ASSERT_EQ(result->rows.size(), 1u);
   EXPECT_EQ(result->rows[0][0].as_string(), "SMALL");
   EXPECT_LT(result->rows.size(), unsliced->rows.size());
+}
+
+TEST_F(CubeQueryTest, EmptyAnswerHasColumnsAndNoRows) {
+  CubeQuery query;
+  query.fact = "fact_table_revenue";
+  query.group_by = {"p_type"};
+  query.measures = {{"revenue", md::AggFunc::kSum, "total"},
+                    {"revenue", md::AggFunc::kCount, ""}};
+  query.filters = {"p_type = 'NO SUCH TYPE'"};
+  auto result = engine_->Execute(query);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->columns,
+            (std::vector<std::string>{"p_type", "total", "revenue"}));
+  EXPECT_TRUE(result->rows.empty());
+
+  // The serving path answers the same empty slice.
+  auto served = quarry_->SubmitQuery(query);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(served->data.columns, result->columns);
+  EXPECT_TRUE(served->data.rows.empty());
+}
+
+TEST_F(CubeQueryTest, RollUpToALevelTheFactCannotReachFailsAtCompile) {
+  // A second requirement rolls the shared Supplier dimension up through
+  // Nation to Region, but fact_table_revenue carries only the supplier key
+  // and dim tables hold no parent keys to join through.
+  auto quarry = core::Quarry::Create(ontology::BuildTpchOntology(),
+                                     ontology::BuildTpchMappings(), &src_);
+  ASSERT_TRUE(quarry.ok()) << quarry.status();
+  InformationRequirement revenue;
+  revenue.id = "ir_revenue";
+  revenue.name = "revenue";
+  revenue.focus_concept = "Lineitem";
+  revenue.measures.push_back(
+      {"revenue", "Lineitem.l_extendedprice * (1 - Lineitem.l_discount)",
+       md::AggFunc::kSum});
+  revenue.dimensions.push_back({"Supplier.s_name"});
+  ASSERT_TRUE((*quarry)->AddRequirement(revenue).ok());
+  InformationRequirement cost;
+  cost.id = "ir_cost";
+  cost.name = "supplycost";
+  cost.focus_concept = "Partsupp";
+  cost.measures.push_back(
+      {"supplycost", "Partsupp.ps_supplycost", md::AggFunc::kSum});
+  cost.dimensions.push_back({"Supplier.s_name"});
+  cost.dimensions.push_back({"Region.r_name"});
+  ASSERT_TRUE((*quarry)->AddRequirement(cost).ok());
+  const md::Dimension& supplier =
+      **(*quarry)->schema().GetDimension("Supplier");
+  ASSERT_TRUE(std::any_of(
+      supplier.levels.begin(), supplier.levels.end(),
+      [](const md::Level& level) { return level.concept_id == "Region"; }));
+  auto deployment = (*quarry)->DeployServing();
+  ASSERT_TRUE(deployment.ok() && deployment->success);
+  auto warehouse = (*quarry)->warehouse().Acquire();
+  ASSERT_TRUE(warehouse.ok()) << warehouse.status();
+  const storage::Table& fact =
+      **warehouse->db().GetTable("fact_table_revenue");
+  ASSERT_FALSE(fact.schema().ColumnIndex("r_regionkey").has_value());
+  CubeQueryEngine engine(&(*quarry)->schema(), &(*quarry)->mapping(),
+                         &warehouse->db());
+
+  CubeQuery query;
+  query.fact = "fact_table_revenue";
+  query.group_by = {"r_name"};
+  query.measures = {{"revenue", md::AggFunc::kSum, ""}};
+  auto flow = engine.Compile(query);
+  ASSERT_FALSE(flow.ok());
+  EXPECT_TRUE(flow.status().IsInvalidArgument()) << flow.status();
+  const std::string message = flow.status().ToString();
+  EXPECT_NE(message.find("'r_name'"), std::string::npos) << message;
+  EXPECT_NE(message.find("'Region'"), std::string::npos) << message;
+  EXPECT_NE(message.find("'fact_table_revenue'"), std::string::npos)
+      << message;
+  EXPECT_TRUE(engine.Execute(query).status().IsInvalidArgument());
+
+  // The supplier level itself stays reachable.
+  query.group_by = {"s_name"};
+  EXPECT_TRUE(engine.Execute(query).ok());
 }
 
 TEST_F(CubeQueryTest, MultipleMeasuresAndFunctions) {

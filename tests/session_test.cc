@@ -53,10 +53,10 @@ TEST_F(SessionTest, SaveThenLoadRebuildsIdenticalDesign) {
   EXPECT_TRUE(xml::DeepEqual(*original->schema().ToXml(),
                              *(*restored)->schema().ToXml()));
   // The restored instance is fully operational.
-  storage::Database dw;
-  auto deployment = (*restored)->Deploy(&dw);
+  auto deployment = (*restored)->DeployServing();
   ASSERT_TRUE(deployment.ok()) << deployment.status();
-  EXPECT_TRUE(deployment->referential_integrity_ok);
+  ASSERT_TRUE(deployment->success);
+  EXPECT_TRUE(deployment->report.referential_integrity_ok);
 }
 
 TEST_F(SessionTest, LoadDetectsDivergingSourceData) {
@@ -116,7 +116,7 @@ TEST_F(SessionTest, DurableSessionSurvivesKillWithoutASave) {
   EXPECT_TRUE((*restored)->requirements().count("tax") > 0);
   EXPECT_TRUE(stats.manifest_found);
   EXPECT_GT(stats.wal_records_replayed, 0);
-  EXPECT_EQ((*restored)->recovery_stats().wal_records_replayed,
+  EXPECT_EQ((*restored)->recovery_report().metadata.wal_records_replayed,
             stats.wal_records_replayed);
   EXPECT_TRUE((*restored)->repository().store().durable());
 }

@@ -18,6 +18,9 @@
 #                  closed-loop flooder vs a high-priority tenant, asserting
 #                  the §11 priority-isolation invariants
 #                  (tools/run_load_smoke.sh)
+#   9. perfbench — configure + build (never run) the end-to-end benchmark
+#                  program in perfbench/ against the current headers, so
+#                  an API change that breaks the benchmark fails pre-merge
 #
 # Every step runs even after an earlier one fails, so one broken gate cannot
 # mask another; the script prints a per-step PASS/FAIL summary at the end and
@@ -82,6 +85,15 @@ vectorized_bench_smoke() {
   "${build_dir}/bench/bench_etl_vectorized" --smoke
 }
 
+# The benchmark compiles src/ and perfbench/src/ as its own CMake package
+# (Release, library defaults); building it here, in a subdirectory of the
+# build dir, catches a header change that breaks the benchmark's code.
+perfbench_build() {
+  cmake -S "${repo_root}/perfbench" -B "${build_dir}/perfbench" \
+    -DCMAKE_BUILD_TYPE=Release &&
+    cmake --build "${build_dir}/perfbench" -j
+}
+
 run_step "tier-1 build+ctest" tier1
 run_step "tsan slice" "${repo_root}/tools/run_tsan.sh"
 run_step "crash matrix (asan)" "${repo_root}/tools/run_crash_matrix.sh"
@@ -91,6 +103,7 @@ run_step "vectorized bench smoke" vectorized_bench_smoke
 run_step "metrics doc lint" "${repo_root}/tools/check_metrics_doc.sh"
 run_step "http smoke" "${repo_root}/tools/run_http_smoke.sh" "${build_dir}"
 run_step "load smoke" "${repo_root}/tools/run_load_smoke.sh" "${build_dir}"
+run_step "perfbench build" perfbench_build
 if [[ "${RUN_ALL_CHECKS_SOAK:-0}" == "1" ]]; then
   run_step "serving soak (asan)" "${repo_root}/tools/run_soak.sh"
 fi
