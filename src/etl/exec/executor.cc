@@ -661,6 +661,7 @@ Executor::NodeAttempt Executor::ExecuteNode(
       protect_loader ? Param(node, "table") : std::string();
 
   NodeAttempt out;
+  out.chunk_kernel = kernel_charges;
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     out.attempts = attempt;
     // Cancellation point: every attempt of every node starts by checking
@@ -746,8 +747,9 @@ Result<ExecutionReport> Executor::Run(const Flow& flow,
                                       const ExecOptions& options,
                                       const RetryPolicy& retry,
                                       Checkpoint* checkpoint,
-                                      const ExecContext* ctx) {
-  return RunInternal(flow, options, retry, checkpoint, /*resume=*/false, ctx);
+                                      const ExecContext* ctx, Dataset* sink) {
+  return RunInternal(flow, options, retry, checkpoint, /*resume=*/false, ctx,
+                     sink);
 }
 
 Result<ExecutionReport> Executor::Resume(const Flow& flow,
@@ -771,7 +773,8 @@ Result<ExecutionReport> Executor::RunInternal(const Flow& flow,
                                               const RetryPolicy& retry,
                                               Checkpoint* checkpoint,
                                               bool resume,
-                                              const ExecContext* ctx) {
+                                              const ExecContext* ctx,
+                                              Dataset* sink) {
   if (ctx != nullptr && ctx->budget().max_flow_nodes > 0 &&
       static_cast<int64_t>(flow.num_nodes()) >
           ctx->budget().max_flow_nodes) {
@@ -781,6 +784,27 @@ Result<ExecutionReport> Executor::RunInternal(const Flow& flow,
         "flow '" + flow.name() + "' has " +
         std::to_string(flow.num_nodes()) + " nodes, budget allows " +
         std::to_string(ctx->budget().max_flow_nodes));
+  }
+  // The dataset handed back through `sink` is the one non-loader node
+  // nothing consumes; resolve it before any work so an ambiguous flow fails
+  // structurally.
+  std::string sink_id;
+  if (sink != nullptr) {
+    for (const auto& [id, node] : flow.nodes()) {
+      if (node.type == OpType::kLoader || !flow.Successors(id).empty()) {
+        continue;
+      }
+      if (!sink_id.empty()) {
+        return Status::InvalidArgument("flow '" + flow.name() +
+                                       "' has several non-loader sinks ('" +
+                                       sink_id + "', '" + id + "')");
+      }
+      sink_id = id;
+    }
+    if (sink_id.empty()) {
+      return Status::InvalidArgument("flow '" + flow.name() +
+                                     "' has no non-loader sink");
+    }
   }
   QUARRY_ASSIGN_OR_RETURN(auto order, flow.TopologicalOrder());
   QUARRY_NAMED_SPAN(run_span, "etl.run");
@@ -843,6 +867,9 @@ Result<ExecutionReport> Executor::RunInternal(const Flow& flow,
     }
     remaining_consumers[id] = pending;
   }
+  // The caller is the sink's one extra consumer: its dataset stays in
+  // `done` like any intermediate with a pending reader.
+  if (!sink_id.empty()) ++remaining_consumers[sink_id];
 
   // Parallel runs go through the wavefront scheduler once the shared
   // prologue above (validation, counters, checkpoint/resume state) has run.
@@ -850,10 +877,12 @@ Result<ExecutionReport> Executor::RunInternal(const Flow& flow,
   // reads of concurrent siblings, so such runs silently degrade to serial.
   if (options.max_workers > 1 && source_ != target_) {
     Scheduler scheduler(this, options);
-    return scheduler.Run(flow, order, retry, checkpoint, ctx,
-                         std::move(completed), std::move(done),
-                         std::move(remaining_consumers), std::move(report),
-                         resumed_any, total);
+    Result<ExecutionReport> run = scheduler.Run(
+        flow, order, retry, checkpoint, ctx, std::move(completed),
+        std::move(done), std::move(remaining_consumers), std::move(report),
+        resumed_any, total);
+    if (run.ok() && sink != nullptr) *sink = scheduler.TakeDataset(sink_id);
+    return run;
   }
 
   for (const std::string& id : order) {
@@ -907,6 +936,7 @@ Result<ExecutionReport> Executor::RunInternal(const Flow& flow,
     stats.rows_out = result->row_count();
     stats.millis = node_timer.ElapsedMillis();
     stats.attempts = attempts_used;
+    stats.kernel = outcome.chunk_kernel ? "chunk" : "row";
     CountNodeDone(node, stats.rows_out, node_timer.ElapsedMicros());
     QUARRY_SPAN_ATTR(node_span, "rows_in", rows_in);
     QUARRY_SPAN_ATTR(node_span, "rows_out", stats.rows_out);
@@ -927,6 +957,7 @@ Result<ExecutionReport> Executor::RunInternal(const Flow& flow,
       checkpoint->loaded = report.loaded;
     }
   }
+  if (sink != nullptr) *sink = std::move(done.at(sink_id));
   report.total_millis = total.ElapsedMillis();
   report.recovered = resumed_any || !report.retried_nodes.empty();
   return report;
@@ -948,6 +979,7 @@ obs::ProfileNode BuildProfileNode(const Flow& flow,
       node.rows_out = s.rows_out;
       node.wall_micros = s.millis * 1000.0;
       node.attempts = s.attempts;
+      node.kernel = s.kernel;
       break;
     }
   }

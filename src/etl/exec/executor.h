@@ -126,7 +126,9 @@ struct ExecOptions {
   /// back to the row kernels. Off by default: results are byte-identical
   /// either way (tests/etl_parallel_test.cc proves it differentially), so
   /// vectorization is purely a throughput knob. Composes with max_workers —
-  /// the scheduler runs whichever kernel the options select.
+  /// the scheduler runs whichever kernel the options select. This is the
+  /// setting of deploys and refreshes only (QuarryConfig::etl_exec): cube
+  /// queries always run the chunk kernels (olap::CubeQueryEngine::Execute).
   bool vectorized = false;
   /// Rows per chunk in vectorized mode. Values < 1 behave like 1.
   int64_t chunk_size = 1024;
@@ -165,6 +167,9 @@ struct NodeStats {
   int64_t rows_out = 0;
   double millis = 0;
   int attempts = 1;  ///< 1 = first attempt succeeded.
+  /// Which kernel ran the node: "chunk" (vectorized) or "row" — a node of
+  /// a vectorized run without a chunk kernel reports "row" (fallback).
+  std::string kernel = "row";
 };
 
 /// \brief Outcome of executing a flow.
@@ -234,7 +239,8 @@ class Executor {
   /// enough to stay invisible next to per-row work (BENCH_lifecycle.json).
   static constexpr int64_t kCancelBatchRows = 1024;
 
-  /// `source` provides Datastore tables; `target` receives Loader output.
+  /// `source` provides Datastore tables; `target` receives Loader output
+  /// and may be null for flows without Loader nodes (cube query plans).
   /// Both pointers must outlive the executor. They may alias.
   Executor(const storage::Database* source, storage::Database* target)
       : source_(source), target_(target) {}
@@ -254,10 +260,17 @@ class Executor {
   /// (etl/exec/scheduler.h). Every contract of the serial path carries
   /// over: retries per node (applied on whichever worker runs the node),
   /// lifecycle errors never retried, loader rollback, checkpoint/Resume.
+  ///
+  /// `sink` (nullable) receives, on success, the dataset of the flow's
+  /// single non-loader sink — in whichever form its kernel produced it —
+  /// so a flow that ends in an operator instead of a Loader (a cube query
+  /// plan) hands its answer back without a target table. A flow with no or
+  /// several non-loader sinks fails with InvalidArgument before any work.
   Result<ExecutionReport> Run(const Flow& flow, const ExecOptions& options,
                               const RetryPolicy& retry,
                               Checkpoint* checkpoint = nullptr,
-                              const ExecContext* ctx = nullptr);
+                              const ExecContext* ctx = nullptr,
+                              Dataset* sink = nullptr);
 
   /// Continues a failed run from `checkpoint`: completed operators are
   /// skipped (their checkpointed outputs feed the remaining ones) and the
@@ -311,13 +324,15 @@ class Executor {
     Result<Dataset> result = Status::Internal("node never attempted");
     int attempts = 1;
     LoaderEffect loader;  ///< Valid only when `result` is OK.
+    bool chunk_kernel = false;  ///< NodeStats::kernel: "chunk" vs "row".
   };
 
   Result<ExecutionReport> RunInternal(const Flow& flow,
                                       const ExecOptions& options,
                                       const RetryPolicy& retry,
                                       Checkpoint* checkpoint, bool resume,
-                                      const ExecContext* ctx);
+                                      const ExecContext* ctx,
+                                      Dataset* sink = nullptr);
 
   /// Runs one operator once. `inputs` are the predecessor datasets in edge
   /// order (resolved by the caller, so concurrent workers never look up the

@@ -293,6 +293,7 @@ void Scheduler::CompleteNode(const std::string& id, const Node& node,
   stats.rows_out = outcome->result->row_count();
   stats.millis = node_millis;
   stats.attempts = outcome->attempts;
+  stats.kernel = outcome->chunk_kernel ? "chunk" : "row";
   CountNodeDone(node, stats.rows_out, node_millis * 1000.0);
   report_.rows_processed += rows_in;
   report_.attempts += outcome->attempts;

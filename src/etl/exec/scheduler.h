@@ -65,6 +65,10 @@ class Scheduler {
                               ExecutionReport report, bool resumed_any,
                               Timer total);
 
+  /// After a successful Run: moves out the dataset of node `id`, which the
+  /// run kept because it still had a consumer (the caller's sink).
+  Dataset TakeDataset(const std::string& id) { return std::move(done_.at(id)); }
+
  private:
   /// The winning (first) node failure; later failures are discarded.
   struct Failure {

@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -341,6 +343,312 @@ Result<DataType> InferColumnTypeChunks(const std::vector<Chunk>& chunks,
   return DataType::kString;  // All-NULL column: arbitrary but stable.
 }
 
+// ---------------------------------------------------------------------------
+// Hash join and hash aggregation. A key that is one column whose segments
+// all hold the same physical type — int64, date days or string — is hashed
+// on its payload (TypedKey) instead of a std::vector<Value> per row
+// (GenericKey). Payload equality within one type is exactly Value::SameAs
+// (Compare is exact for INT-INT, DATE-DATE and STRING-STRING), and NULL is
+// decided from the null mask before any payload is read. Keys whose
+// segments mix types (kMixed, INT in one chunk and DOUBLE in another) and
+// cross-type join pairs such as INT vs DOUBLE, where 1 and 1.0 are the same
+// key, stay generic. Both key forms share the kernels below, so NULL-key
+// semantics, probe-order output and first-seen group order cannot drift.
+
+enum class KeyKind { kNone, kInt64, kDate, kString, kGeneric };
+
+/// Folds `column` of `chunks` into a running key kind. All-NULL segments
+/// say nothing (their rep is arbitrary); kNone means no value seen yet.
+KeyKind FoldKeyKind(KeyKind kind, const std::vector<Chunk>& chunks,
+                    size_t column) {
+  for (const Chunk& chunk : chunks) {
+    const ValueSegment& seg = chunk.segment(column);
+    if (kind == KeyKind::kGeneric) return kind;
+    if (seg.all_null()) continue;
+    KeyKind mine = KeyKind::kGeneric;
+    switch (seg.rep()) {
+      case ValueSegment::Rep::kInt64: mine = KeyKind::kInt64; break;
+      case ValueSegment::Rep::kDate: mine = KeyKind::kDate; break;
+      case ValueSegment::Rep::kString: mine = KeyKind::kString; break;
+      default: break;
+    }
+    kind = kind == KeyKind::kNone || kind == mine ? mine : KeyKind::kGeneric;
+  }
+  return kind;
+}
+
+/// A single-column key read straight from the segment payload; nullopt
+/// for NULL. Dates widen to int64 — a date key never meets an INT key,
+/// because the kind check admits one physical type per key.
+template <KeyKind K>
+struct TypedKey {
+  using Type =
+      std::conditional_t<K == KeyKind::kString, std::string_view, int64_t>;
+  size_t column;
+  std::optional<Type> operator()(const Chunk& chunk, uint32_t phys) const {
+    const ValueSegment& seg = chunk.segment(column);
+    if (seg.IsNull(phys)) return std::nullopt;
+    if constexpr (K == KeyKind::kString) {
+      return std::string_view(seg.strings()[phys]);
+    } else if constexpr (K == KeyKind::kDate) {
+      return seg.dates()[phys];
+    } else {
+      return seg.ints()[phys];
+    }
+  }
+};
+
+/// Any key as a Row of Values. `null_is_absent` (joins) maps a key with a
+/// NULL component to nullopt — SQL NULL never matches; group keys keep
+/// NULLs, which SameAs treats as one group.
+struct GenericKey {
+  using Type = Row;
+  const std::vector<size_t>* positions;
+  bool null_is_absent;
+  std::optional<Row> operator()(const Chunk& chunk, uint32_t phys) const {
+    Row key = ChunkKey(chunk, *positions, phys);
+    if (null_is_absent &&
+        std::any_of(key.begin(), key.end(),
+                    [](const Value& v) { return v.is_null(); })) {
+      return std::nullopt;
+    }
+    return key;
+  }
+};
+
+template <typename Key>
+using KeyHash = std::conditional_t<std::is_same_v<Key, Row>, RowKeyHash,
+                                   std::hash<Key>>;
+template <typename Key>
+using KeyEq = std::conditional_t<std::is_same_v<Key, Row>, RowKeyEq,
+                                 std::equal_to<Key>>;
+
+constexpr uint32_t kNoRow = UINT32_MAX;
+
+void CountTypedKey(const Node& node) {
+  obs::MetricsRegistry::Instance()
+      .counter("quarry_etl_chunk_typed_key_total",
+               "Join and aggregation chunk-kernel runs that hashed a typed "
+               "single-column key, by operator type",
+               {{"op", OpTypeToString(node.type)}})
+      .Increment();
+}
+
+/// Runs `body` with the key functor(s) for the given key columns: typed
+/// when there is one column per side and every segment of both agrees on
+/// its type, generic otherwise. `sides` pairs each input's chunks with its
+/// key positions (one entry for aggregation, build and probe for joins).
+template <typename Body>
+Result<Dataset> WithKeys(
+    const Node& node,
+    const std::vector<std::pair<const std::vector<Chunk>*,
+                                const std::vector<size_t>*>>& sides,
+    bool null_is_absent, const Body& body) {
+  KeyKind kind = KeyKind::kGeneric;
+  if (sides[0].second->size() == 1) {
+    kind = KeyKind::kNone;
+    for (const auto& [chunks, positions] : sides) {
+      kind = FoldKeyKind(kind, *chunks, (*positions)[0]);
+    }
+  }
+  auto typed = [&](auto key_kind) {
+    constexpr KeyKind K = decltype(key_kind)::value;
+    CountTypedKey(node);
+    std::vector<TypedKey<K>> keys;
+    for (const auto& side : sides) keys.push_back({(*side.second)[0]});
+    return body(keys);
+  };
+  switch (kind) {
+    case KeyKind::kNone:  // Every key is NULL: any typed form works.
+    case KeyKind::kInt64:
+      return typed(std::integral_constant<KeyKind, KeyKind::kInt64>{});
+    case KeyKind::kDate:
+      return typed(std::integral_constant<KeyKind, KeyKind::kDate>{});
+    case KeyKind::kString:
+      return typed(std::integral_constant<KeyKind, KeyKind::kString>{});
+    case KeyKind::kGeneric:
+      break;
+  }
+  std::vector<GenericKey> keys;
+  for (const auto& side : sides) keys.push_back({side.second, null_is_absent});
+  return body(keys);
+}
+
+/// Inner/left hash join over chunks: builds on the right input in its row
+/// order (NULL keys never enter), probes the left chunk by chunk and emits
+/// one output chunk per left chunk, matches in build order. Duplicate build
+/// keys chain through `next` instead of a vector per key. The right side's
+/// output columns are gathered straight from its segments.
+template <typename KeyFn>
+Result<Dataset> HashJoin(const Node& node, const ExecContext* ctx,
+                         const Dataset& left,
+                         const std::vector<Chunk>& left_chunks,
+                         const Dataset& right,
+                         const std::vector<Chunk>& right_chunks,
+                         bool left_join, const KeyFn& left_key,
+                         const KeyFn& right_key) {
+  using Key = typename KeyFn::Type;
+  using SourceRef = ValueSegment::SourceRef;
+  std::vector<SourceRef> build_rows;
+  for (uint32_t c = 0; c < right_chunks.size(); ++c) {
+    const Chunk& chunk = right_chunks[c];
+    for (size_t i = 0; i < chunk.num_rows(); ++i) {
+      build_rows.push_back({c, chunk.PhysicalRow(i)});
+    }
+  }
+  struct Chain {
+    uint32_t first;
+    uint32_t last;
+  };
+  std::unordered_map<Key, Chain, KeyHash<Key>, KeyEq<Key>> build;
+  build.reserve(build_rows.size());
+  std::vector<uint32_t> next(build_rows.size(), kNoRow);
+  for (uint32_t g = 0; g < build_rows.size(); ++g) {
+    std::optional<Key> key =
+        right_key(right_chunks[build_rows[g].source], build_rows[g].row);
+    if (!key.has_value()) continue;  // SQL: NULL keys never match.
+    auto [it, inserted] = build.try_emplace(std::move(*key), Chain{g, g});
+    if (!inserted) {
+      next[it->second.last] = g;
+      it->second.last = g;
+    }
+  }
+  std::vector<std::vector<const ValueSegment*>> right_sources(
+      right.columns.size());
+  for (size_t c = 0; c < right.columns.size(); ++c) {
+    for (const Chunk& chunk : right_chunks) {
+      right_sources[c].push_back(&chunk.segment(c));
+    }
+  }
+
+  Dataset out;
+  out.columnar = true;
+  out.columns = left.columns;
+  out.columns.insert(out.columns.end(), right.columns.begin(),
+                     right.columns.end());
+  OutputCharger charge(ctx, node.id, out.columns.size());
+  for (const Chunk& chunk : left_chunks) {
+    QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
+    CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
+    // One (left physical row, build row) pair per output row, in probe
+    // order — identical to the row path's output order.
+    std::vector<uint32_t> left_phys;
+    std::vector<SourceRef> right_refs;
+    for (size_t i = 0; i < chunk.num_rows(); ++i) {
+      const uint32_t phys = chunk.PhysicalRow(i);
+      std::optional<Key> key = left_key(chunk, phys);
+      auto it = key.has_value() ? build.find(*key) : build.end();
+      if (it == build.end()) {
+        if (left_join) {
+          left_phys.push_back(phys);
+          right_refs.push_back({ValueSegment::kNullSource, 0});
+        }
+        continue;
+      }
+      for (uint32_t g = it->second.first; g != kNoRow; g = next[g]) {
+        left_phys.push_back(phys);
+        right_refs.push_back(build_rows[g]);
+      }
+    }
+    if (left_phys.empty()) continue;
+    std::vector<Chunk::SegmentPtr> segments;
+    segments.reserve(out.columns.size());
+    for (size_t c = 0; c < left.columns.size(); ++c) {
+      segments.push_back(std::make_shared<const ValueSegment>(
+          chunk.segment(c).Gather(left_phys)));
+    }
+    for (size_t c = 0; c < right.columns.size(); ++c) {
+      segments.push_back(std::make_shared<const ValueSegment>(
+          ValueSegment::GatherFrom(right_sources[c], right_refs)));
+    }
+    QUARRY_RETURN_NOT_OK(charge.Charge(static_cast<int64_t>(left_phys.size())));
+    out.chunks.emplace_back(std::move(segments));
+  }
+  QUARRY_RETURN_NOT_OK(charge.Finish());
+  return out;
+}
+
+/// Hash aggregation over chunks, groups in first-seen order. A typed key's
+/// NULL (nullopt) is its own group, exactly like SameAs groups NULLs.
+template <typename KeyFn>
+Result<Dataset> HashAggregate(const Node& node, const ExecContext* ctx,
+                              const std::vector<Chunk>& chunks,
+                              const std::vector<std::string>& group,
+                              const std::vector<size_t>& group_pos,
+                              const std::vector<AggSpec>& specs,
+                              const std::vector<int>& agg_pos,
+                              const KeyFn& key_of) {
+  using Key = typename KeyFn::Type;
+  std::unordered_map<Key, uint32_t, KeyHash<Key>, KeyEq<Key>> index;
+  uint32_t null_group = kNoRow;
+  std::vector<Row> group_keys;   // First-seen order, like the row path.
+  std::vector<AggState> states;  // specs.size() per group, group-major.
+  for (const Chunk& chunk : chunks) {
+    QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
+    CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
+    for (size_t i = 0; i < chunk.num_rows(); ++i) {
+      const uint32_t phys = chunk.PhysicalRow(i);
+      const uint32_t fresh = static_cast<uint32_t>(group_keys.size());
+      std::optional<Key> key = key_of(chunk, phys);
+      uint32_t g;
+      if (!key.has_value()) {
+        if (null_group == kNoRow) null_group = fresh;
+        g = null_group;
+      } else {
+        g = index.try_emplace(std::move(*key), fresh).first->second;
+      }
+      if (g == fresh) {
+        group_keys.push_back(ChunkKey(chunk, group_pos, phys));
+        states.resize(states.size() + specs.size());
+      }
+      AggState* st = &states[static_cast<size_t>(g) * specs.size()];
+      for (size_t s = 0; s < specs.size(); ++s) {
+        if (specs[s].input == "*") {
+          kernel::AccumulateAggStar(&st[s]);
+          continue;
+        }
+        kernel::AccumulateAgg(
+            &st[s], chunk.segment(static_cast<size_t>(agg_pos[s])).At(phys));
+      }
+    }
+  }
+
+  Dataset out;
+  out.columns = group;
+  for (const AggSpec& s : specs) out.columns.push_back(s.output);
+  OutputCharger charge(ctx, node.id, out.columns.size());
+  if (out.columns.empty()) {
+    // Degenerate no-group no-agg shape: rows without segments cannot live
+    // in a chunk, so fall back to (empty) Rows.
+    out.rows.resize(group_keys.size());
+  } else {
+    out.columnar = true;
+    if (!group_keys.empty()) {
+      std::vector<std::vector<Value>> cols(out.columns.size());
+      for (auto& col : cols) col.reserve(group_keys.size());
+      for (size_t g = 0; g < group_keys.size(); ++g) {
+        for (size_t k = 0; k < group_pos.size(); ++k) {
+          cols[k].push_back(std::move(group_keys[g][k]));
+        }
+        for (size_t s = 0; s < specs.size(); ++s) {
+          cols[group_pos.size() + s].push_back(kernel::FinalizeAgg(
+              specs[s].function, states[g * specs.size() + s]));
+        }
+      }
+      std::vector<Chunk::SegmentPtr> segments;
+      segments.reserve(cols.size());
+      for (auto& col : cols) {
+        segments.push_back(std::make_shared<const ValueSegment>(
+            ValueSegment::FromValues(std::move(col))));
+      }
+      out.chunks.emplace_back(std::move(segments));
+    }
+  }
+  QUARRY_RETURN_NOT_OK(
+      charge.Charge(static_cast<int64_t>(group_keys.size())));
+  return out;
+}
+
 }  // namespace
 
 Result<Dataset> Executor::RunNodeVectorized(
@@ -518,82 +826,18 @@ Result<Dataset> Executor::RunNodeVectorized(
           auto right_pos,
           ColumnPositions(right.columns, right_keys, node.id));
 
-      // Build on the right input, identically to the row path: the build
-      // side is materialized once (row access by index is what probing
-      // needs), NULL keys never enter the table.
-      std::vector<Row> right_scratch;
-      const std::vector<Row>& right_rows = DatasetRows(right, &right_scratch);
-      std::unordered_map<Row, std::vector<size_t>, RowKeyHash, RowKeyEq>
-          build;
-      build.reserve(right_rows.size());
-      for (size_t i = 0; i < right_rows.size(); ++i) {
-        Row key = ExtractKey(right_rows[i], right_pos);
-        bool has_null =
-            std::any_of(key.begin(), key.end(),
-                        [](const Value& v) { return v.is_null(); });
-        if (has_null) continue;  // SQL: NULL keys never match.
-        build[std::move(key)].push_back(i);
-      }
-
-      Dataset out;
-      out.columnar = true;
-      out.columns = left.columns;
-      out.columns.insert(out.columns.end(), right.columns.begin(),
-                         right.columns.end());
-      const bool left_join = join_type == "left";
-      std::vector<Chunk> scratch;
-      OutputCharger charge(ctx, node.id, out.columns.size());
-      for (const Chunk& chunk :
-           DatasetChunks(left, options.chunk_size, &scratch)) {
-        QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
-        CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
-        // Probe: one (left physical row, right row index) pair per output
-        // row, in probe order — identical to the row path's output order.
-        std::vector<uint32_t> left_phys;
-        std::vector<int64_t> right_idx;  // -1 = NULL-padded (left join).
-        for (size_t i = 0; i < chunk.num_rows(); ++i) {
-          const uint32_t phys = chunk.PhysicalRow(i);
-          Row key = ChunkKey(chunk, left_pos, phys);
-          bool has_null =
-              std::any_of(key.begin(), key.end(),
-                          [](const Value& v) { return v.is_null(); });
-          auto it = has_null ? build.end() : build.find(key);
-          if (it == build.end()) {
-            if (left_join) {
-              left_phys.push_back(phys);
-              right_idx.push_back(-1);
-            }
-            continue;
-          }
-          for (size_t ridx : it->second) {
-            left_phys.push_back(phys);
-            right_idx.push_back(static_cast<int64_t>(ridx));
-          }
-        }
-        if (left_phys.empty()) continue;
-        std::vector<Chunk::SegmentPtr> segments;
-        segments.reserve(out.columns.size());
-        for (size_t c = 0; c < left.columns.size(); ++c) {
-          segments.push_back(std::make_shared<const ValueSegment>(
-              chunk.segment(c).Gather(left_phys)));
-        }
-        for (size_t c = 0; c < right.columns.size(); ++c) {
-          std::vector<Value> col;
-          col.reserve(right_idx.size());
-          for (int64_t ridx : right_idx) {
-            col.push_back(ridx < 0
-                              ? Value::Null()
-                              : right_rows[static_cast<size_t>(ridx)][c]);
-          }
-          segments.push_back(std::make_shared<const ValueSegment>(
-              ValueSegment::FromValues(std::move(col))));
-        }
-        QUARRY_RETURN_NOT_OK(
-            charge.Charge(static_cast<int64_t>(left_phys.size())));
-        out.chunks.emplace_back(std::move(segments));
-      }
-      QUARRY_RETURN_NOT_OK(charge.Finish());
-      return out;
+      std::vector<Chunk> left_scratch, right_scratch;
+      const std::vector<Chunk>& left_chunks =
+          DatasetChunks(left, options.chunk_size, &left_scratch);
+      const std::vector<Chunk>& right_chunks =
+          DatasetChunks(right, options.chunk_size, &right_scratch);
+      // Keys: [0] probes the left input, [1] builds on the right one.
+      return WithKeys(
+          node, {{&left_chunks, &left_pos}, {&right_chunks, &right_pos}},
+          /*null_is_absent=*/true, [&](const auto& keys) {
+            return HashJoin(node, ctx, left, left_chunks, right, right_chunks,
+                            join_type == "left", keys[0], keys[1]);
+          });
     }
     case OpType::kAggregation: {
       const Dataset& in = input(0);
@@ -609,68 +853,15 @@ Result<Dataset> Executor::RunNodeVectorized(
         agg_pos[i] = static_cast<int>(pos[0]);
       }
 
-      std::unordered_map<Row, std::vector<AggState>, RowKeyHash, RowKeyEq>
-          groups;
-      std::vector<Row> group_order;  // First-seen order, like the row path.
       std::vector<Chunk> scratch;
-      for (const Chunk& chunk :
-           DatasetChunks(in, options.chunk_size, &scratch)) {
-        QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
-        CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
-        for (size_t i = 0; i < chunk.num_rows(); ++i) {
-          const uint32_t phys = chunk.PhysicalRow(i);
-          Row key = ChunkKey(chunk, group_pos, phys);
-          auto [it, inserted] =
-              groups.try_emplace(key, std::vector<AggState>(specs.size()));
-          if (inserted) group_order.push_back(key);
-          std::vector<AggState>& states = it->second;
-          for (size_t s = 0; s < specs.size(); ++s) {
-            if (specs[s].input == "*") {
-              kernel::AccumulateAggStar(&states[s]);
-              continue;
-            }
-            Value v = chunk.segment(static_cast<size_t>(agg_pos[s]))
-                          .At(phys);
-            kernel::AccumulateAgg(&states[s], v);
-          }
-        }
-      }
-
-      Dataset out;
-      out.columns = group;
-      for (const AggSpec& s : specs) out.columns.push_back(s.output);
-      OutputCharger charge(ctx, node.id, out.columns.size());
-      if (out.columns.empty()) {
-        // Degenerate no-group no-agg shape: rows without segments cannot
-        // live in a chunk, so fall back to (empty) Rows.
-        out.rows.resize(group_order.size());
-      } else if (!group_order.empty()) {
-        std::vector<std::vector<Value>> cols(out.columns.size());
-        for (auto& col : cols) col.reserve(group_order.size());
-        for (const Row& key : group_order) {
-          const std::vector<AggState>& states = groups.at(key);
-          for (size_t g = 0; g < group_pos.size(); ++g) {
-            cols[g].push_back(key[g]);
-          }
-          for (size_t s = 0; s < specs.size(); ++s) {
-            cols[group_pos.size() + s].push_back(
-                kernel::FinalizeAgg(specs[s].function, states[s]));
-          }
-        }
-        std::vector<Chunk::SegmentPtr> segments;
-        segments.reserve(cols.size());
-        for (auto& col : cols) {
-          segments.push_back(std::make_shared<const ValueSegment>(
-              ValueSegment::FromValues(std::move(col))));
-        }
-        out.columnar = true;
-        out.chunks.emplace_back(std::move(segments));
-      } else {
-        out.columnar = true;
-      }
-      QUARRY_RETURN_NOT_OK(
-          charge.Charge(static_cast<int64_t>(group_order.size())));
-      return out;
+      const std::vector<Chunk>& chunks =
+          DatasetChunks(in, options.chunk_size, &scratch);
+      return WithKeys(node, {{&chunks, &group_pos}},
+                      /*null_is_absent=*/false, [&](const auto& keys) {
+                        return HashAggregate(node, ctx, chunks, group,
+                                             group_pos, specs, agg_pos,
+                                             keys[0]);
+                      });
     }
     case OpType::kLoader: {
       const Dataset& data = input(0);

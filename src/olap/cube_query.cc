@@ -33,11 +33,16 @@ Result<Flow> CubeQueryEngine::Compile(const CubeQuery& query) const {
   if (query.measures.empty()) {
     return Status::InvalidArgument("cube query requests no measures");
   }
+  std::set<std::string> outputs(query.group_by.begin(), query.group_by.end());
   for (const QueryMeasure& m : query.measures) {
     if (fact->FindMeasure(m.measure) == nullptr) {
       return Status::NotFound("measure '" + m.measure + "' in fact '" +
                               fact->name + "'");
     }
+    outputs.insert(m.alias.empty() ? m.measure : m.alias);
+  }
+  if (outputs.size() != query.group_by.size() + query.measures.size()) {
+    return Status::InvalidArgument("cube query names an output column twice");
   }
 
   // Every non-fact column (group attribute or filter input) must be
@@ -149,7 +154,7 @@ Result<Flow> CubeQueryEngine::Compile(const CubeQuery& query) const {
     current = sel_id;
   }
 
-  // Group + aggregate + emit.
+  // Group + aggregate; q_agg is the plan's sink and its dataset the answer.
   std::vector<std::string> projected = query.group_by;
   std::vector<std::string> agg_parts;
   for (const QueryMeasure& m : query.measures) {
@@ -169,9 +174,6 @@ Result<Flow> CubeQueryEngine::Compile(const CubeQuery& query) const {
                             {{"group", Join(query.group_by, ",")},
                              {"aggs", Join(agg_parts, ";")}})));
   QUARRY_RETURN_NOT_OK(flow.AddEdge("q_project", "q_agg"));
-  QUARRY_RETURN_NOT_OK(flow.AddNode(
-      MakeNode("q_result", OpType::kLoader, {{"table", "__result"}})));
-  QUARRY_RETURN_NOT_OK(flow.AddEdge("q_agg", "q_result"));
   return flow;
 }
 
@@ -180,42 +182,29 @@ Result<etl::Dataset> CubeQueryEngine::Execute(const CubeQuery& query,
                                               QueryProfile* profile) const {
   QUARRY_RETURN_NOT_OK(CheckContext(ctx, "cube query compile"));
   QUARRY_ASSIGN_OR_RETURN(Flow flow, Compile(query));
-  storage::Database scratch("__query");
-  etl::Executor executor(warehouse_, &scratch);
-  // Fail fast, no retries: a lifecycle error is never retried anyway, and
-  // an interactive query prefers surfacing an operator fault over hiding
-  // latency in backoff sleeps.
-  Result<etl::ExecutionReport> run =
-      executor.Run(flow, etl::RetryPolicy{}, nullptr, ctx);
-  if (profile != nullptr && run.ok()) {
-    // Move, don't copy: the report's per-node stats live on in the profile
-    // only (run keeps its status for the check below).
-    profile->report = std::move(run).value();
-    profile->plan = etl::BuildProfileTrees(flow, profile->report);
-  }
-  if (!run.ok() && profile != nullptr) {
-    // Report whatever the partial run recorded: an empty report still
-    // yields the full plan shape (zeroed stats), which is what a failed
-    // EXPLAIN ANALYZE should show.
+  // No Loader, so no target: the executor hands back q_agg's dataset.
+  // (Flow::Validate requires loader sinks and is never called on query
+  // plans.) Every plan operator has a chunk kernel. Fail fast, no retries:
+  // an interactive query surfaces an operator fault instead of hiding
+  // latency in backoff sleeps; lifecycle errors are never retried anyway.
+  etl::Executor executor(warehouse_, /*target=*/nullptr);
+  etl::Dataset answer;
+  Result<etl::ExecutionReport> run = executor.Run(
+      flow, etl::ExecOptions{.max_workers = 1, .vectorized = true},
+      etl::RetryPolicy{}, nullptr, ctx, &answer);
+  if (profile != nullptr) {
+    // Move, don't copy (run keeps its status for the check below). A
+    // failed run leaves the report empty, which still yields the full plan
+    // shape with zeroed stats — what a failed EXPLAIN ANALYZE should show.
+    if (run.ok()) profile->report = std::move(run).value();
     profile->plan = etl::BuildProfileTrees(flow, profile->report);
   }
   QUARRY_RETURN_NOT_OK(run.status());
+  // No int<->double cast is needed (a loader used to apply one): every
+  // answer column holds one type (DESIGN.md §8, CubeQueryFastPathTest).
   etl::Dataset out;
-  if (!scratch.HasTable("__result")) {
-    // No row reached the result loader, so it never created its table: the
-    // answer is empty, with the columns a non-empty one would have.
-    out.columns = query.group_by;
-    for (const QueryMeasure& m : query.measures) {
-      out.columns.push_back(m.alias.empty() ? m.measure : m.alias);
-    }
-    return out;
-  }
-  QUARRY_ASSIGN_OR_RETURN(const storage::Table* result,
-                          scratch.GetTable("__result"));
-  for (const storage::Column& c : result->schema().columns()) {
-    out.columns.push_back(c.name);
-  }
-  out.rows = result->rows();
+  out.columns = std::move(answer.columns);
+  out.rows = answer.MaterializeRows();
   return out;
 }
 

@@ -47,10 +47,13 @@ struct QueryProfile {
 /// \brief Compiles cube queries into ETL-engine plans over the warehouse.
 ///
 /// The engine doubles as the query executor: a cube query becomes a flow of
-/// Datastore/Join/Selection/Projection/Aggregation nodes over the deployed
-/// tables (fact joined with the dimension tables providing the requested
-/// attributes), executed by etl::Executor. This exercises exactly the
-/// OLAP-style access path the paper's deployment scenario demonstrates.
+/// Datastore/Function/Projection/Join/Selection/Aggregation nodes over the
+/// deployed tables (fact joined with the dimension tables providing the
+/// requested attributes) that ends at the aggregation "q_agg" — there is no
+/// Loader and no scratch table. etl::Executor runs it on the vectorized
+/// chunk kernels (every plan operator has one) and hands back q_agg's
+/// dataset. This exercises exactly the OLAP-style access path the paper's
+/// deployment scenario demonstrates.
 class CubeQueryEngine {
  public:
   /// `schema` is the deployed MD schema; `mapping` resolves level concepts
@@ -61,14 +64,17 @@ class CubeQueryEngine {
                   const storage::Database* warehouse)
       : schema_(schema), mapping_(mapping), warehouse_(warehouse) {}
 
-  /// Runs the query; the result is an in-memory dataset (group columns in
-  /// request order, then aggregates). `ctx` (nullable) carries the
-  /// request's cancellation token / deadline / budgets into the executing
-  /// flow exactly like every ETL run does (docs/ROBUSTNESS.md §7): each
-  /// operator pre-checks it, row loops poll it every
-  /// etl::Executor::kCancelBatchRows rows, and a lifecycle error
-  /// (kCancelled / kDeadlineExceeded / kResourceExhausted) surfaces
-  /// unretried — a long scan cannot outlive its request.
+  /// Runs the query on the chunk kernels (ExecOptions{.max_workers = 1,
+  /// .vectorized = true}, regardless of QuarryConfig::etl_exec, which
+  /// governs deploys and refreshes). The result is a row-form in-memory
+  /// dataset (`rows` filled, `columnar` false): group columns in request
+  /// order, then aggregates, materialized once from q_agg's chunks; an
+  /// empty answer has the columns and no rows. `ctx` (nullable) carries
+  /// the request's cancellation token / deadline / budgets into the
+  /// executing flow exactly like every ETL run does (docs/ROBUSTNESS.md
+  /// §7): each operator pre-checks it, every chunk re-checks it, and a
+  /// lifecycle error (kCancelled / kDeadlineExceeded / kResourceExhausted)
+  /// surfaces unretried — a long scan cannot outlive its request.
   ///
   /// `profile` (nullable) receives the executor's per-node stats and the
   /// EXPLAIN ANALYZE plan tree of the compiled flow; it is filled on
@@ -78,7 +84,10 @@ class CubeQueryEngine {
                                const ExecContext* ctx = nullptr,
                                QueryProfile* profile = nullptr) const;
 
-  /// The flow the query compiles to (exposed for tests / EXPLAIN).
+  /// The flow the query compiles to (exposed for tests / EXPLAIN). Its one
+  /// sink is "q_agg"; it has no Loader, so it is not a Flow::Validate-valid
+  /// ETL flow. Output column names (group-by attributes, then measure
+  /// aliases) must be distinct.
   Result<etl::Flow> Compile(const CubeQuery& query) const;
 
  private:

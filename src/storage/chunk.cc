@@ -169,6 +169,89 @@ ValueSegment ValueSegment::Gather(const std::vector<uint32_t>& positions) const 
   return seg;
 }
 
+bool ValueSegment::all_null() const {
+  if (size_ == 0) return true;
+  if (rep_ == Rep::kMixed || nulls_.empty()) return false;
+  return std::all_of(nulls_.begin(), nulls_.end(),
+                     [](uint8_t null) { return null != 0; });
+}
+
+ValueSegment ValueSegment::GatherFrom(
+    const std::vector<const ValueSegment*>& sources,
+    const std::vector<SourceRef>& refs) {
+  Rep rep = Rep::kInt64;  // All sources NULL: arbitrary, as in FromValues.
+  bool typed = true;
+  bool any_value = false;
+  for (const ValueSegment* src : sources) {
+    if (src->all_null()) continue;
+    if (src->rep_ == Rep::kMixed || (any_value && src->rep_ != rep)) {
+      typed = false;
+      break;
+    }
+    rep = src->rep_;
+    any_value = true;
+  }
+  if (!typed) {
+    std::vector<Value> values;
+    values.reserve(refs.size());
+    for (const SourceRef& ref : refs) {
+      values.push_back(ref.source == kNullSource
+                           ? Value::Null()
+                           : sources[ref.source]->At(ref.row));
+    }
+    return FromValues(std::move(values));
+  }
+
+  ValueSegment seg;
+  seg.rep_ = rep;
+  seg.size_ = refs.size();
+  auto is_null = [&](const SourceRef& ref) {
+    return ref.source == kNullSource || sources[ref.source]->IsNull(ref.row);
+  };
+  if (std::any_of(refs.begin(), refs.end(), is_null)) {
+    seg.nulls_.assign(refs.size(), 0);
+  }
+  // NULL slots keep a zero payload and set their mask bit; a value is read
+  // only from a source slot that holds one, whatever that source's rep.
+  auto fill = [&](auto* payload, auto read) {
+    payload->resize(refs.size());
+    for (size_t i = 0; i < refs.size(); ++i) {
+      const SourceRef& ref = refs[i];
+      if (is_null(ref)) {
+        seg.nulls_[i] = 1;
+        continue;
+      }
+      (*payload)[i] = read(*sources[ref.source], ref.row);
+    }
+  };
+  switch (rep) {
+    case Rep::kBool:
+      fill(&seg.bools_,
+           [](const ValueSegment& s, uint32_t r) { return s.bools_[r]; });
+      break;
+    case Rep::kInt64:
+      fill(&seg.ints_,
+           [](const ValueSegment& s, uint32_t r) { return s.ints_[r]; });
+      break;
+    case Rep::kDouble:
+      fill(&seg.doubles_,
+           [](const ValueSegment& s, uint32_t r) { return s.doubles_[r]; });
+      break;
+    case Rep::kString:
+      fill(&seg.strings_, [](const ValueSegment& s, uint32_t r) {
+        return s.strings_[r];
+      });
+      break;
+    case Rep::kDate:
+      fill(&seg.dates_,
+           [](const ValueSegment& s, uint32_t r) { return s.dates_[r]; });
+      break;
+    case Rep::kMixed:
+      break;  // Unreachable: mixed sources take the Value path above.
+  }
+  return seg;
+}
+
 void Chunk::AppendRowsTo(std::vector<Row>* out) const {
   const size_t n = num_rows();
   const size_t cols = num_columns();

@@ -26,6 +26,14 @@ class ValueSegment {
  public:
   enum class Rep { kBool, kInt64, kDouble, kString, kDate, kMixed };
 
+  /// One row of GatherFrom's output: physical row `row` of source segment
+  /// `source`, or NULL when `source` is kNullSource.
+  struct SourceRef {
+    uint32_t source = 0;
+    uint32_t row = 0;
+  };
+  static constexpr uint32_t kNullSource = UINT32_MAX;
+
   ValueSegment() = default;
 
   /// Segment over column `column` of rows [begin, end).
@@ -39,6 +47,9 @@ class ValueSegment {
   Rep rep() const { return rep_; }
   bool has_nulls() const { return !nulls_.empty(); }
   bool IsNull(size_t i) const { return !nulls_.empty() && nulls_[i] != 0; }
+  /// True when no slot holds a value (an empty segment included). The rep
+  /// of such a segment is arbitrary, so typed readers may skip it.
+  bool all_null() const;
 
   /// Exact reconstruction of the value at physical row `i`.
   Value At(size_t i) const;
@@ -55,6 +66,14 @@ class ValueSegment {
 
   /// New segment holding this segment's values at `positions`, in order.
   ValueSegment Gather(const std::vector<uint32_t>& positions) const;
+
+  /// New segment holding, in order, the value each of `refs` points at in
+  /// `sources` (one segment per chunk of a column). Copies typed payloads
+  /// when every source that holds a value shares one typed rep; otherwise
+  /// goes through Values like FromValues.
+  static ValueSegment GatherFrom(
+      const std::vector<const ValueSegment*>& sources,
+      const std::vector<SourceRef>& refs);
 
  private:
   Rep rep_ = Rep::kInt64;  ///< An all-NULL segment stays kInt64 (arbitrary).

@@ -457,6 +457,111 @@ TEST(EtlVectorizedTest, ThreeWayTpchRevenueFlowAgrees) {
             chunks_before);
 }
 
+// Typed single-column keys (DESIGN.md §8): joins and aggregations keyed on
+// one INT, DATE or STRING column hash the segment payload; NULL keys, the
+// zero payloads next to them, duplicate build keys and selection vectors
+// must not move a byte. An INT key joined to a DOUBLE key (3 = 3.0), a
+// DOUBLE group key and two-column keys stay on the generic path.
+TEST(EtlVectorizedTest, TypedKeyFlowsAgreeAcrossChunkSizesAndWorkers) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Instance();
+  auto typed_runs = [&reg](const char* op) {
+    return reg.counter("quarry_etl_chunk_typed_key_total", "", {{"op", op}})
+        .value();
+  };
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    auto source = testutil::BuildTypedKeySource(seed);
+    for (const Flow& flow : testutil::TypedKeyFlows()) {
+      ASSERT_TRUE(flow.Validate().ok()) << flow.name();
+      RunOutcome serial = RunFlow(*source, flow, 1);
+      ASSERT_TRUE(serial.status.ok()) << flow.name() << ": " << serial.status;
+      const bool typed = flow.name().rfind("typed_", 0) == 0;
+      const bool has_join = flow.name().find("_join_") != std::string::npos;
+      const int64_t joins_before = typed_runs("Join");
+      const int64_t aggs_before = typed_runs("Aggregation");
+      for (int64_t chunk_size :
+           {int64_t{1}, int64_t{7}, int64_t{1024},
+            static_cast<int64_t>(serial.report.rows_processed) + 1}) {
+        for (int workers : {1, 4}) {
+          ExecMode mode{"vectorized", workers, true, chunk_size};
+          RunOutcome outcome = RunFlowOpts(*source, flow, ToOptions(mode));
+          ExpectEquivalent(flow, serial, outcome,
+                           "seed " + std::to_string(seed) + " " +
+                               flow.name() + " chunk_size=" +
+                               std::to_string(chunk_size) +
+                               " workers=" + std::to_string(workers));
+        }
+      }
+      const int64_t typed_joins = typed_runs("Join") - joins_before;
+      const int64_t typed_aggs = typed_runs("Aggregation") - aggs_before;
+      if (!typed) {
+        EXPECT_EQ(typed_joins, 0) << flow.name();
+        if (!has_join) EXPECT_EQ(typed_aggs, 0) << flow.name();
+      } else if (has_join) {
+        EXPECT_EQ(typed_joins, 8) << flow.name();  // One per sweep arm.
+      } else {
+        EXPECT_EQ(typed_aggs, 8) << flow.name();
+      }
+    }
+  }
+}
+
+// A flow that ends in an operator instead of a Loader (a cube query plan)
+// hands its answer back through Run's `sink` out-parameter, in every mode,
+// with the same rows; flows with no or several non-loader sinks are
+// refused before any work.
+TEST(EtlVectorizedTest, SinkDatasetIsHandedBackInEveryMode) {
+  auto source = testutil::BuildTypedKeySource(/*seed=*/3);
+  Flow flow("sink");
+  (void)flow.AddNode(MakeNode("f", OpType::kDatastore, {{"table", "facts"}}));
+  (void)flow.AddNode(MakeNode("d", OpType::kDatastore, {{"table", "dims"}}));
+  (void)flow.AddNode(
+      MakeNode("j", OpType::kJoin, {{"left", "k"}, {"right", "dk"}}));
+  (void)flow.AddNode(MakeNode(
+      "agg", OpType::kAggregation,
+      {{"group", "label"}, {"aggs", "SUM(v) AS sv;COUNT(*) AS n"}}));
+  (void)flow.AddEdge("f", "j");
+  (void)flow.AddEdge("d", "j");
+  (void)flow.AddEdge("j", "agg");
+
+  Executor reference(source.get(), nullptr);
+  Dataset want;
+  auto serial = reference.Run(flow, ExecOptions{}, RetryPolicy{}, nullptr,
+                              nullptr, &want);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  EXPECT_EQ(want.columns, (std::vector<std::string>{"label", "sv", "n"}));
+  EXPECT_FALSE(want.rows.empty());
+  for (const ExecMode& mode : DifferentialModes()) {
+    Executor executor(source.get(), nullptr);
+    Dataset got;
+    auto run = executor.Run(flow, ToOptions(mode), RetryPolicy{}, nullptr,
+                            nullptr, &got);
+    ASSERT_TRUE(run.ok()) << mode.name << ": " << run.status();
+    EXPECT_EQ(got.columnar, mode.vectorized) << mode.name;
+    EXPECT_EQ(got.columns, want.columns) << mode.name;
+    EXPECT_EQ(got.MaterializeRows(), want.rows) << mode.name;
+  }
+
+  Flow two_sinks = flow;
+  (void)two_sinks.AddNode(MakeNode("sel", OpType::kSelection,
+                                   {{"predicate", "v > 0"}}));
+  (void)two_sinks.AddEdge("f", "sel");
+  Flow only_loaders("only_loaders");
+  (void)only_loaders.AddNode(
+      MakeNode("f", OpType::kDatastore, {{"table", "facts"}}));
+  (void)only_loaders.AddNode(
+      MakeNode("load", OpType::kLoader, {{"table", "out"}}));
+  (void)only_loaders.AddEdge("f", "load");
+  for (const Flow* bad : {&two_sinks, &only_loaders}) {
+    storage::Database target("dw");
+    Executor executor(source.get(), &target);
+    Dataset sink;
+    auto run = executor.Run(*bad, ExecOptions{}, RetryPolicy{}, nullptr,
+                            nullptr, &sink);
+    EXPECT_TRUE(run.status().IsInvalidArgument()) << bad->name();
+    EXPECT_EQ(target.num_tables(), 0u) << bad->name();
+  }
+}
+
 TEST(EtlVectorizedTest, ChainedSelectionsCarrySelectionVectors) {
   // Selection-on-selection composes a selection vector with an already
   // filtered chunk — the carry-over path chunk sizes can't hide: at

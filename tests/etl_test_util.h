@@ -257,6 +257,119 @@ inline Flow BuildRandomFlow(uint64_t seed, int source_tables = 3,
   return flow;
 }
 
+/// Source for the typed-key kernels: "facts" (id INT NOT NULL, k INT,
+/// d DATE, s STRING, v INT) and "dims" (dk INT, dd DATE, ds STRING,
+/// dx DOUBLE, label STRING). Keys are drawn from small domains, so build
+/// keys repeat; every key column has NULLs next to its type's zero payload
+/// (0, the epoch date, ""), and dx holds integral doubles that equal INT
+/// keys of `k`.
+inline std::unique_ptr<storage::Database> BuildTypedKeySource(
+    uint64_t seed, int max_rows = 150) {
+  using storage::DataType;
+  using storage::Value;
+  Prng prng(seed * 0x2545F4914F6CDD1DULL + 7);
+  const char* words[] = {"", "a", "b", "c"};
+  auto maybe = [&prng](Value v) {
+    return prng.Chance(0.15) ? Value::Null() : std::move(v);
+  };
+  auto db = std::make_unique<storage::Database>("src");
+  storage::TableSchema facts("facts");
+  (void)facts.AddColumn({"id", DataType::kInt64, false});
+  (void)facts.AddColumn({"k", DataType::kInt64, true});
+  (void)facts.AddColumn({"d", DataType::kDate, true});
+  (void)facts.AddColumn({"s", DataType::kString, true});
+  (void)facts.AddColumn({"v", DataType::kInt64, true});
+  storage::Table* fact_table = *db->CreateTable(std::move(facts));
+  const int64_t fact_rows = prng.Uniform(1, max_rows);
+  for (int64_t r = 0; r < fact_rows; ++r) {
+    (void)fact_table->Insert(
+        {Value::Int(r), maybe(Value::Int(prng.Uniform(0, 9))),
+         maybe(Value::Date(static_cast<int32_t>(prng.Uniform(0, 5)))),
+         maybe(Value::String(words[prng.Uniform(0, 3)])),
+         maybe(Value::Int(prng.Uniform(-20, 50)))});
+  }
+  storage::TableSchema dims("dims");
+  (void)dims.AddColumn({"dk", DataType::kInt64, true});
+  (void)dims.AddColumn({"dd", DataType::kDate, true});
+  (void)dims.AddColumn({"ds", DataType::kString, true});
+  (void)dims.AddColumn({"dx", DataType::kDouble, true});
+  (void)dims.AddColumn({"label", DataType::kString, true});
+  storage::Table* dim_table = *db->CreateTable(std::move(dims));
+  const int64_t dim_rows = prng.Uniform(1, max_rows / 4 + 1);
+  for (int64_t r = 0; r < dim_rows; ++r) {
+    (void)dim_table->Insert(
+        {maybe(Value::Int(prng.Uniform(0, 12))),
+         maybe(Value::Date(static_cast<int32_t>(prng.Uniform(0, 6)))),
+         maybe(Value::String(words[prng.Uniform(0, 3)])),
+         maybe(Value::Double(static_cast<double>(prng.Uniform(0, 12)))),
+         Value::String(prng.Word(2))});
+  }
+  return db;
+}
+
+/// Flows over BuildTypedKeySource: joins and aggregations keyed on one
+/// INT, DATE or STRING column (names start with "typed_"), and ones that
+/// must stay on the generic key path — an INT key joined to a DOUBLE key,
+/// a DOUBLE group key, a two-column key (names start with "generic_").
+inline std::vector<Flow> TypedKeyFlows() {
+  std::vector<Flow> flows;
+  auto join_flow = [&flows](const std::string& name, const std::string& left,
+                            const std::string& right,
+                            const std::string& type) {
+    Flow flow(name);
+    (void)flow.AddNode(
+        MakeNode("f", OpType::kDatastore, {{"table", "facts"}}));
+    (void)flow.AddNode(MakeNode("sel", OpType::kSelection,
+                                {{"predicate", "id >= 3"}}));
+    (void)flow.AddNode(MakeNode("d", OpType::kDatastore, {{"table", "dims"}}));
+    (void)flow.AddNode(MakeNode(
+        "j", OpType::kJoin,
+        {{"left", left}, {"right", right}, {"type", type}}));
+    (void)flow.AddNode(MakeNode("agg", OpType::kAggregation,
+                                {{"group", "label"},
+                                 {"aggs", "SUM(v) AS sv;COUNT(*) AS n"}}));
+    (void)flow.AddNode(
+        MakeNode("load_rows", OpType::kLoader, {{"table", "joined"}}));
+    (void)flow.AddNode(
+        MakeNode("load_agg", OpType::kLoader, {{"table", "by_label"}}));
+    (void)flow.AddEdge("f", "sel");
+    (void)flow.AddEdge("sel", "j");
+    (void)flow.AddEdge("d", "j");
+    (void)flow.AddEdge("j", "load_rows");
+    (void)flow.AddEdge("j", "agg");
+    (void)flow.AddEdge("agg", "load_agg");
+    flows.push_back(std::move(flow));
+  };
+  join_flow("typed_join_int", "k", "dk", "inner");
+  join_flow("typed_join_int_left", "k", "dk", "left");
+  join_flow("typed_join_date", "d", "dd", "inner");
+  join_flow("typed_join_string", "s", "ds", "left");
+  join_flow("generic_join_int_double", "k", "dx", "inner");
+  join_flow("generic_join_two_columns", "k,s", "dk,ds", "inner");
+
+  auto agg_flow = [&flows](const std::string& name, const std::string& table,
+                           const std::string& group,
+                           const std::string& aggs) {
+    Flow flow(name);
+    (void)flow.AddNode(MakeNode("t", OpType::kDatastore, {{"table", table}}));
+    (void)flow.AddNode(MakeNode("agg", OpType::kAggregation,
+                                {{"group", group}, {"aggs", aggs}}));
+    (void)flow.AddNode(MakeNode("load", OpType::kLoader, {{"table", "out"}}));
+    (void)flow.AddEdge("t", "agg");
+    (void)flow.AddEdge("agg", "load");
+    flows.push_back(std::move(flow));
+  };
+  const std::string fact_aggs =
+      "SUM(v) AS sv;COUNT(v) AS nv;COUNT(*) AS n;AVG(v) AS av;MIN(s) AS mn;"
+      "MAX(d) AS mx";
+  agg_flow("typed_agg_int", "facts", "k", fact_aggs);
+  agg_flow("typed_agg_date", "facts", "d", fact_aggs);
+  agg_flow("typed_agg_string", "facts", "s", fact_aggs);
+  agg_flow("generic_agg_double", "dims", "dx", "COUNT(*) AS n;MIN(label) AS l");
+  agg_flow("generic_agg_two_columns", "facts", "k,s", fact_aggs);
+  return flows;
+}
+
 /// One executed run: target fingerprint plus everything the differential
 /// comparisons look at.
 struct RunOutcome {

@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <optional>
+#include <set>
 
+#include "common/str_util.h"
 #include "core/quarry.h"
 #include "datagen/tpch.h"
+#include "obs/metrics.h"
 #include "ontology/tpch_ontology.h"
+#include "requirements/workload.h"
 
 namespace quarry::olap {
 namespace {
@@ -275,6 +281,358 @@ TEST_F(CubeQueryTest, ResultMatchesDirectSourceComputation) {
     EXPECT_NEAR(row[1].as_double(), want, 1e-6 * std::abs(want))
         << row[0].as_string();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Serving-path differential: Execute — chunk kernels, the answer handed back
+// by the executor — against the path it replaced, rebuilt here: the
+// compiled plan plus a "__result" Loader, run by the row executor into a
+// scratch Database, the rows read back out. Answers must be byte-identical
+// (column names, row order, Value types and values) and every node both
+// plans share must report the same rows_in/rows_out.
+
+struct LoaderAnswer {
+  Status status = Status::OK();
+  etl::Dataset data;
+  etl::ExecutionReport report;
+};
+
+LoaderAnswer RunThroughLoader(const CubeQueryEngine& engine,
+                              const storage::Database& db,
+                              const CubeQuery& query) {
+  LoaderAnswer out;
+  auto flow = engine.Compile(query);
+  if (!flow.ok()) {
+    out.status = flow.status();
+    return out;
+  }
+  etl::Node loader;
+  loader.id = "q_result";
+  loader.type = etl::OpType::kLoader;
+  loader.params = {{"table", "__result"}};
+  EXPECT_TRUE(flow->AddNode(loader).ok());
+  EXPECT_TRUE(flow->AddEdge("q_agg", "q_result").ok());
+  storage::Database scratch("__query");
+  etl::Executor executor(&db, &scratch);
+  auto run = executor.Run(*flow, etl::RetryPolicy{}, nullptr, nullptr);
+  if (!run.ok()) {
+    out.status = run.status();
+    return out;
+  }
+  out.report = std::move(*run);
+  if (!scratch.HasTable("__result")) {
+    // No row reached the loader: the empty answer keeps the columns.
+    out.data.columns = query.group_by;
+    for (const QueryMeasure& m : query.measures) {
+      out.data.columns.push_back(m.alias.empty() ? m.measure : m.alias);
+    }
+    return out;
+  }
+  const storage::Table& result = **scratch.GetTable("__result");
+  for (const storage::Column& c : result.schema().columns()) {
+    out.data.columns.push_back(c.name);
+  }
+  out.data.rows = result.rows();
+  return out;
+}
+
+/// Same runtime type and the same payload (doubles bit for bit).
+bool Identical(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
+  if (a.is_bool() != b.is_bool() || a.is_int() != b.is_int() ||
+      a.is_double() != b.is_double() || a.is_string() != b.is_string() ||
+      a.is_date() != b.is_date()) {
+    return false;
+  }
+  if (a.is_double()) {
+    const double x = a.as_double();
+    const double y = b.as_double();
+    return std::memcmp(&x, &y, sizeof(x)) == 0;
+  }
+  return a.SameAs(b);
+}
+
+std::string Describe(const CubeQuery& query) {
+  std::string out = query.fact + " BY " + Join(query.group_by, ",");
+  for (const QueryMeasure& m : query.measures) {
+    out += " " + std::string(md::AggFuncToEtlName(m.function)) + "(" +
+           m.measure + ")";
+  }
+  if (!query.filters.empty()) out += " WHERE " + Join(query.filters, " AND ");
+  return out;
+}
+
+/// `value` as a filter literal; nullopt for types the test does not slice
+/// on (doubles would need an exact decimal rendering).
+std::optional<std::string> Literal(const Value& value) {
+  if (value.is_int()) return value.ToString();
+  if (value.is_date()) return "DATE '" + value.ToString() + "'";
+  if (value.is_string() && value.as_string().find('\'') == std::string::npos) {
+    return "'" + value.as_string() + "'";
+  }
+  return std::nullopt;
+}
+
+class CubeQueryFastPathTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(datagen::PopulateTpch(&src_, {0.005, 17}).ok());
+    auto quarry = core::Quarry::Create(ontology::BuildTpchOntology(),
+                                       ontology::BuildTpchMappings(), &src_);
+    ASSERT_TRUE(quarry.ok()) << quarry.status();
+    quarry_ = std::move(*quarry);
+    // The benchmark's design: six overlapping TPC-H requirements, five
+    // facts with roll-ups, slicers and fact-local grain columns.
+    req::WorkloadConfig config;
+    config.num_requirements = 6;
+    config.overlap = 0.6;
+    config.seed = 39;
+    for (const InformationRequirement& ir : req::GenerateTpchWorkload(config)) {
+      ASSERT_TRUE(quarry_->AddRequirement(ir).ok()) << ir.id;
+    }
+    auto deployment = quarry_->DeployServing();
+    ASSERT_TRUE(deployment.ok() && deployment->success);
+    auto pin = quarry_->warehouse().Acquire();
+    ASSERT_TRUE(pin.ok()) << pin.status();
+    warehouse_ = std::move(*pin);
+  }
+
+  /// Runs `query` both ways over `db`; returns the fast path's answer.
+  etl::Dataset ExpectSameAnswer(const storage::Database& db,
+                                const CubeQuery& query) {
+    CubeQueryEngine engine(&quarry_->schema(), &quarry_->mapping(), &db);
+    const std::string what = Describe(query);
+    LoaderAnswer want = RunThroughLoader(engine, db, query);
+    QueryProfile profile;
+    auto got = engine.Execute(query, nullptr, &profile);
+    EXPECT_TRUE(want.status.ok()) << what << ": " << want.status;
+    EXPECT_TRUE(got.ok()) << what << ": " << got.status();
+    if (!want.status.ok() || !got.ok()) return {};
+    ++queries_run_;
+
+    EXPECT_FALSE(got->columnar) << what;
+    EXPECT_TRUE(got->chunks.empty()) << what;
+    EXPECT_EQ(got->columns, want.data.columns) << what;
+    EXPECT_EQ(got->rows.size(), want.data.rows.size()) << what;
+    for (size_t r = 0; r < std::min(got->rows.size(), want.data.rows.size());
+         ++r) {
+      const storage::Row& g = got->rows[r];
+      const storage::Row& w = want.data.rows[r];
+      EXPECT_EQ(g.size(), w.size()) << what << " row " << r;
+      for (size_t c = 0; c < std::min(g.size(), w.size()); ++c) {
+        EXPECT_TRUE(Identical(g[c], w[c]))
+            << what << " row " << r << " column " << want.data.columns[c]
+            << ": got " << g[c].ToString() << ", want " << w[c].ToString();
+      }
+    }
+
+    std::map<std::string, etl::NodeStats> want_nodes;
+    for (const etl::NodeStats& n : want.report.nodes) want_nodes[n.node_id] = n;
+    EXPECT_EQ(profile.report.nodes.size() + 1, want.report.nodes.size())
+        << what << ": the fast plan is the loader plan minus q_result";
+    for (const etl::NodeStats& n : profile.report.nodes) {
+      auto it = want_nodes.find(n.node_id);
+      if (it == want_nodes.end()) {
+        ADD_FAILURE() << what << ": node " << n.node_id << " not shared";
+        continue;
+      }
+      EXPECT_EQ(n.rows_in, it->second.rows_in) << what << " " << n.node_id;
+      EXPECT_EQ(n.rows_out, it->second.rows_out) << what << " " << n.node_id;
+      EXPECT_EQ(n.kernel, "chunk") << what << " " << n.node_id;
+    }
+    return std::move(*got);
+  }
+
+  /// Every level attribute of `fact`'s dimensions a roll-up can reach (the
+  /// fact carries the level's key columns), in schema order.
+  std::vector<std::string> RollUpAttributes(const md::Fact& fact) {
+    CubeQueryEngine engine(&quarry_->schema(), &quarry_->mapping(),
+                           &warehouse_.db());
+    std::vector<std::string> out;
+    for (const md::DimensionRef& ref : fact.dimension_refs) {
+      const md::Dimension& dim = **quarry_->schema().GetDimension(ref.dimension);
+      for (const md::Level& level : dim.levels) {
+        for (const md::LevelAttribute& attr : level.attributes) {
+          if (std::find(out.begin(), out.end(), attr.name) != out.end()) {
+            continue;
+          }
+          CubeQuery probe;
+          probe.fact = fact.name;
+          probe.group_by = {attr.name};
+          probe.measures = {{fact.measures[0].name, md::AggFunc::kSum, ""}};
+          if (engine.Compile(probe).ok()) out.push_back(attr.name);
+        }
+      }
+    }
+    return out;
+  }
+
+  /// SUM of every measure plus COUNT/AVG/MIN/MAX of the first one.
+  static std::vector<QueryMeasure> AllFunctions(const md::Fact& fact) {
+    std::vector<QueryMeasure> out;
+    for (const md::Measure& m : fact.measures) {
+      out.push_back({m.name, md::AggFunc::kSum, ""});
+    }
+    const std::string& first = fact.measures[0].name;
+    out.push_back({first, md::AggFunc::kCount, "n_" + first});
+    out.push_back({first, md::AggFunc::kAvg, "avg_" + first});
+    out.push_back({first, md::AggFunc::kMin, "min_" + first});
+    out.push_back({first, md::AggFunc::kMax, "max_" + first});
+    return out;
+  }
+
+  /// Every roll-up (one attribute, all functions), pair roll-up, slice (a
+  /// roll-up filtered on its own first value and on each other attribute's
+  /// first value) and fact-local group-by of every fact, over `db`.
+  void RunCorpus(const storage::Database& db) {
+    for (const md::Fact& fact : quarry_->schema().facts()) {
+      const std::vector<std::string> attrs = RollUpAttributes(fact);
+      std::map<std::string, std::string> first_value;  // attr -> literal
+      for (const std::string& a : attrs) {
+        CubeQuery q;
+        q.fact = fact.name;
+        q.group_by = {a};
+        q.measures = AllFunctions(fact);
+        etl::Dataset answer = ExpectSameAnswer(db, q);
+        for (const storage::Row& row : answer.rows) {
+          if (row[0].is_null()) continue;
+          if (auto literal = Literal(row[0])) first_value[a] = *literal;
+          break;
+        }
+      }
+      for (size_t i = 0; i < attrs.size(); ++i) {
+        for (size_t j = i + 1; j < attrs.size(); ++j) {
+          CubeQuery q;
+          q.fact = fact.name;
+          q.group_by = {attrs[i], attrs[j]};
+          q.measures = {{fact.measures[0].name, md::AggFunc::kSum, ""}};
+          ExpectSameAnswer(db, q);
+        }
+      }
+      for (const std::string& a : attrs) {
+        for (const auto& [b, literal] : first_value) {
+          CubeQuery q;
+          q.fact = fact.name;
+          q.group_by = {a};
+          q.measures = {{fact.measures[0].name, md::AggFunc::kSum, ""},
+                        {fact.measures[0].name, md::AggFunc::kCount, "n"}};
+          q.filters = {b + " = " + literal};
+          ExpectSameAnswer(db, q);
+          ++slices_run_;
+        }
+      }
+      const storage::Table& table = **db.GetTable(fact.name);
+      for (const storage::Column& c : table.schema().columns()) {
+        if (fact.FindMeasure(c.name) != nullptr) continue;
+        CubeQuery q;
+        q.fact = fact.name;
+        q.group_by = {c.name};
+        q.measures = AllFunctions(fact);
+        ExpectSameAnswer(db, q);
+        ++fact_local_run_;
+      }
+    }
+  }
+
+  storage::Database src_;
+  std::unique_ptr<core::Quarry> quarry_;
+  storage::GenerationStore::Pin warehouse_;
+  int queries_run_ = 0;
+  int slices_run_ = 0;
+  int fact_local_run_ = 0;
+};
+
+int64_t TypedKeyRuns(const char* op) {
+  return obs::MetricsRegistry::Instance()
+      .counter("quarry_etl_chunk_typed_key_total", "", {{"op", op}})
+      .value();
+}
+
+TEST_F(CubeQueryFastPathTest, EveryRollUpSliceAndFactLocalGroupByMatches) {
+  ASSERT_GE(quarry_->schema().facts().size(), 2u);
+  const int64_t typed_joins = TypedKeyRuns("Join");
+  const int64_t typed_aggs = TypedKeyRuns("Aggregation");
+  RunCorpus(warehouse_.db());
+  EXPECT_GT(queries_run_, 50);
+  EXPECT_GT(slices_run_, 0);
+  EXPECT_GT(fact_local_run_, 0);
+  // The corpus went through the typed key paths of both kernels.
+  EXPECT_GT(TypedKeyRuns("Join"), typed_joins);
+  EXPECT_GT(TypedKeyRuns("Aggregation"), typed_aggs);
+}
+
+TEST_F(CubeQueryFastPathTest, EmptyAnswerMatches) {
+  const md::Fact& fact = quarry_->schema().facts()[0];
+  const std::vector<std::string> attrs = RollUpAttributes(fact);
+  ASSERT_FALSE(attrs.empty());
+  CubeQuery q;
+  q.fact = fact.name;
+  q.group_by = {attrs[0]};
+  q.measures = AllFunctions(fact);
+  q.filters = {"1 = 0"};
+  etl::Dataset answer = ExpectSameAnswer(warehouse_.db(), q);
+  EXPECT_TRUE(answer.rows.empty());
+  EXPECT_EQ(answer.columns.size(), 1 + q.measures.size());
+}
+
+// NULL measures (SUM/AVG/MIN/MAX skip them, COUNT counts values; an
+// all-NULL group sums to NULL) and group keys where NULL sits next to the
+// zero payload of its type (0, "", the epoch date): a typed key that hashed
+// a NULL slot's payload would merge the two groups.
+TEST_F(CubeQueryFastPathTest, NullMeasuresAndNullGroupKeysMatch) {
+  std::unique_ptr<storage::Database> db = warehouse_.db().Clone();
+  int measures_nulled = 0;
+  int keys_nulled = 0;
+  for (const md::Fact& fact : quarry_->schema().facts()) {
+    storage::Table& table = **db->GetTable(fact.name);
+    for (size_t m = 0; m < fact.measures.size(); ++m) {
+      const size_t col = *table.schema().ColumnIndex(fact.measures[m].name);
+      for (size_t r = 0; r < table.num_rows(); ++r) {
+        // The first measure loses every third value, the others all.
+        if (m > 0 || r % 3 == 0) {
+          ASSERT_TRUE(table.SetCell(r, col, Value::Null()).ok());
+          ++measures_nulled;
+        }
+      }
+    }
+  }
+  for (const std::string& name : db->TableNames()) {
+    if (name.rfind("dim_", 0) != 0) continue;
+    storage::Table& table = **db->GetTable(name);
+    if (table.num_rows() < 4) continue;
+    for (size_t c = 0; c < table.schema().num_columns(); ++c) {
+      const storage::Column& column = table.schema().columns()[c];
+      Value zero;
+      switch (column.type) {
+        case storage::DataType::kInt64: zero = Value::Int(0); break;
+        case storage::DataType::kString: zero = Value::String(""); break;
+        case storage::DataType::kDate: zero = Value::Date(0); break;
+        default: continue;
+      }
+      // Key and indexed columns refuse updates; they stay as they are.
+      if (!table.SetCell(0, c, Value::Null()).ok()) continue;
+      ASSERT_TRUE(table.SetCell(1, c, zero).ok());
+      ASSERT_TRUE(table.SetCell(2, c, Value::Null()).ok());
+      ASSERT_TRUE(table.SetCell(3, c, zero).ok());
+      ++keys_nulled;
+    }
+  }
+  ASSERT_GT(measures_nulled, 0);
+  ASSERT_GT(keys_nulled, 0);
+  RunCorpus(*db);
+  EXPECT_GT(queries_run_, 50);
+}
+
+TEST_F(CubeQueryFastPathTest, DuplicateOutputColumnsFailAtCompile) {
+  const md::Fact& fact = quarry_->schema().facts()[0];
+  CubeQueryEngine engine(&quarry_->schema(), &quarry_->mapping(),
+                         &warehouse_.db());
+  CubeQuery q;
+  q.fact = fact.name;
+  q.measures = {{fact.measures[0].name, md::AggFunc::kSum, "x"},
+                {fact.measures[0].name, md::AggFunc::kCount, "x"}};
+  EXPECT_TRUE(engine.Compile(q).status().IsInvalidArgument());
+  EXPECT_TRUE(engine.Execute(q).status().IsInvalidArgument());
 }
 
 }  // namespace

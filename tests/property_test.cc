@@ -448,6 +448,44 @@ TEST_P(VectorizedProperty, P8_ChunkSizeNeverChangesBytes) {
   }
 }
 
+// The same sweep over the typed-key flows: single-column INT/DATE/STRING
+// join and group keys with NULLs, zero payloads and duplicate build keys,
+// plus the INT-vs-DOUBLE join and multi-column keys that stay generic.
+TEST_P(VectorizedProperty, P8_TypedKeysNeverChangeBytes) {
+  const uint64_t seed = GetParam();
+  auto source = etl::testutil::BuildTypedKeySource(seed);
+  for (const etl::Flow& flow : etl::testutil::TypedKeyFlows()) {
+    etl::testutil::RunOutcome serial =
+        etl::testutil::RunFlow(*source, flow, 1);
+    ASSERT_TRUE(serial.status.ok()) << flow.name() << ": " << serial.status;
+    auto serial_stats = etl::testutil::StatsById(serial.report);
+    const int64_t oversized = serial.report.rows_processed + 1;
+    for (int64_t chunk_size : {int64_t{1}, int64_t{7}, int64_t{1024},
+                               oversized}) {
+      for (int workers : {1, 4}) {
+        etl::ExecOptions options;
+        options.vectorized = true;
+        options.chunk_size = chunk_size;
+        options.max_workers = workers;
+        etl::testutil::RunOutcome outcome =
+            etl::testutil::RunFlowOpts(*source, flow, options);
+        const std::string arm = flow.name() + " seed " +
+                                std::to_string(seed) + " chunk_size " +
+                                std::to_string(chunk_size) + " workers " +
+                                std::to_string(workers);
+        ASSERT_TRUE(outcome.status.ok()) << arm << ": " << outcome.status;
+        EXPECT_EQ(outcome.fingerprint, serial.fingerprint) << arm;
+        auto stats = etl::testutil::StatsById(outcome.report);
+        ASSERT_EQ(stats.size(), flow.num_nodes()) << arm;
+        for (const auto& [id, want] : serial_stats) {
+          EXPECT_EQ(stats[id].rows_in, want.rows_in) << id << " " << arm;
+          EXPECT_EQ(stats[id].rows_out, want.rows_out) << id << " " << arm;
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(ChunkSweep, VectorizedProperty,
                          ::testing::Values(41, 42, 43, 44, 45, 46, 47, 48),
                          [](const ::testing::TestParamInfo<uint64_t>& info) {

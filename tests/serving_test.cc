@@ -177,9 +177,13 @@ class ServingTest : public ::testing::Test {
     fault::Injector::Instance().Disable();
   }
 
-  std::unique_ptr<Quarry> MakeQuarry(QuarryConfig config) {
+  /// A Quarry over `source` (default: the fixture's small TPC-H source)
+  /// holding the revenue requirement.
+  std::unique_ptr<Quarry> MakeQuarry(QuarryConfig config,
+                                     storage::Database* source = nullptr) {
     auto quarry = Quarry::Create(ontology::BuildTpchOntology(),
-                                 ontology::BuildTpchMappings(), &src_,
+                                 ontology::BuildTpchMappings(),
+                                 source != nullptr ? source : &src_,
                                  std::move(config));
     EXPECT_TRUE(quarry.ok()) << quarry.status();
     InformationRequirement ir;
@@ -404,6 +408,162 @@ TEST_F(ServingTest, SubmitQueryHonoursTheRequestLifecycle) {
   EXPECT_TRUE(engine.Execute(RevenueByType(), &expired).status()
                   .IsDeadlineExceeded());
   EXPECT_TRUE(engine.Execute(RevenueByType(), nullptr).ok());
+}
+
+// --- the query path on the chunk kernels -----------------------------------
+// SubmitQuery runs its plan on the vectorized kernels whatever etl_exec
+// says, so the chunk-level fault site, the per-chunk lifecycle checks and
+// the per-chunk budget charges are what a query meets.
+
+TEST_F(ServingTest, QueryChunkFaultSurfacesWithNodeContextAndChangesNothing) {
+  ASSERT_TRUE(quarry_->DeployServing().ok());
+  auto pin = quarry_->warehouse().Acquire();
+  ASSERT_TRUE(pin.ok());
+  const uint64_t generation = quarry_->warehouse().current_generation();
+  const uint64_t pinned_fp = pin->db().Fingerprint();
+  const uint64_t published_fp =
+      *quarry_->warehouse().PublishedFingerprint(generation);
+  auto answer = quarry_->SubmitQuery(RevenueByType());
+  ASSERT_TRUE(answer.ok()) << answer.status();
+
+  struct Case {
+    const char* name;
+    fault::SiteConfig config;
+  };
+  const Case cases[] = {
+      {"transient", {0.0, /*trigger_on_hit=*/3, 0, /*max_failures=*/1}},
+      {"permanent", {0.0, 0, /*fail_from_hit=*/1, -1}},
+  };
+  for (const Case& c : cases) {
+    const int64_t failures_before =
+        CounterValue("quarry_request_failures_total", {{"kind", "query"}});
+    fault::Injector::Instance().Enable(23);
+    fault::Injector::Instance().Configure("etl.exec.vec.chunk", c.config);
+    auto failed = quarry_->SubmitQuery(RevenueByType());
+    ASSERT_FALSE(failed.ok()) << c.name;
+    EXPECT_EQ(fault::Injector::Instance().FailureCount("etl.exec.vec.chunk"),
+              1)
+        << c.name;
+    fault::Injector::Instance().ClearConfigs();
+    fault::Injector::Instance().Disable();
+
+    // The error names the plan node and its operator, like an ETL fault.
+    const std::string message = failed.status().ToString();
+    EXPECT_NE(message.find("node 'q_"), std::string::npos)
+        << c.name << ": " << message;
+    EXPECT_NE(message.find("etl.exec.vec.chunk"), std::string::npos)
+        << c.name << ": " << message;
+    EXPECT_EQ(
+        CounterValue("quarry_request_failures_total", {{"kind", "query"}}),
+        failures_before + 1)
+        << c.name;
+    // A failed read moves nothing: same generation, same bytes.
+    EXPECT_EQ(quarry_->warehouse().current_generation(), generation);
+    EXPECT_EQ(pin->db().Fingerprint(), pinned_fp);
+    EXPECT_EQ(*quarry_->warehouse().PublishedFingerprint(generation),
+              published_fp);
+    auto again = quarry_->SubmitQuery(RevenueByType());
+    ASSERT_TRUE(again.ok()) << c.name << ": " << again.status();
+    EXPECT_EQ(again->data.rows, answer->data.rows) << c.name;
+  }
+}
+
+// A deadline that expires while a fact-local roll-up scans a larger
+// warehouse stops the run at the next chunk gate — inside a node, not at
+// the node's end. The plan is a chain (q_fact -> q_project -> q_agg) whose
+// nodes pass one gate per fact chunk each, so fault injection (no failing
+// sites) counting the gates passed tells which node stopped and where. The
+// deadline is swept from short to long: too short trips before the plan
+// starts (at compile), too long lets the query finish.
+TEST_F(ServingTest, QueryDeadlineTripsAtChunkGranularity) {
+  storage::Database large;
+  ASSERT_TRUE(datagen::PopulateTpch(&large, {0.02, 29}).ok());
+  std::unique_ptr<Quarry> quarry = MakeQuarry({}, &large);
+  ASSERT_TRUE(quarry->DeployServing().ok());
+  olap::CubeQuery scan;
+  scan.fact = "fact_table_revenue";
+  scan.group_by = {"p_partkey"};
+  scan.measures = {{"revenue", md::AggFunc::kSum, ""}};
+  const std::string chain[] = {"q_fact", "q_project", "q_agg"};
+  fault::Injector& injector = fault::Injector::Instance();
+
+  injector.Enable(5);
+  ASSERT_TRUE(quarry->SubmitQuery(scan).ok());
+  const int64_t gates_per_node = injector.HitCount("etl.exec.vec.chunk") / 3;
+  ASSERT_GE(gates_per_node, 4) << "the scan must span several chunks";
+
+  bool tripped_mid_node = false;
+  for (int round = 0; round < 20 && !tripped_mid_node; ++round) {
+    for (double millis = 0.005; millis < 100 && !tripped_mid_node;
+         millis *= 1.15) {
+      injector.Enable(5);  // Resets the hit counters.
+      ExecContext ctx(Deadline::After(millis));
+      auto result = quarry->SubmitQuery(scan, {}, &ctx);
+      if (result.ok()) break;  // Longer deadlines finish too.
+      ASSERT_TRUE(result.status().IsDeadlineExceeded()) << result.status();
+      const int64_t gates = injector.HitCount("etl.exec.vec.chunk");
+      if (gates % gates_per_node == 0) continue;  // At a node boundary.
+      const std::string& node = chain[gates / gates_per_node];
+      EXPECT_NE(result.status().message().find("node '" + node + "'"),
+                std::string::npos)
+          << gates << " gates: " << result.status();
+      tripped_mid_node = true;
+    }
+  }
+  injector.Disable();
+  EXPECT_TRUE(tripped_mid_node);
+}
+
+// Row budgets: the chunk kernels charge chunk by chunk, the row kernels
+// node by node, and the totals agree — so a budget trips at the same plan
+// node either way. The row-path reference runs the compiled plan on the
+// row executor.
+TEST_F(ServingTest, QueryRowBudgetTripsAtTheSameNodeAsTheRowPath) {
+  ASSERT_TRUE(quarry_->DeployServing().ok());
+  auto pin = quarry_->warehouse().Acquire();
+  ASSERT_TRUE(pin.ok());
+  auto schema = std::static_pointer_cast<const md::MdSchema>(pin->annex());
+  olap::CubeQueryEngine engine(schema.get(), &quarry_->mapping(), &pin->db());
+  olap::CubeQuery query = RevenueByType();
+  query.filters = {"p_type <> 'SMALL'"};
+  auto flow = engine.Compile(query);
+  ASSERT_TRUE(flow.ok()) << flow.status();
+  etl::Executor row_executor(&pin->db(), nullptr);
+  auto unbounded = row_executor.Run(*flow);
+  ASSERT_TRUE(unbounded.ok()) << unbounded.status();
+
+  auto node_of = [](const Status& status) {
+    const std::string& m = status.message();
+    const size_t at = m.find("node '");
+    return at == std::string::npos ? std::string()
+                                   : m.substr(at, m.find('\'', at + 6) - at);
+  };
+  // One budget just inside each node's output: the cumulative row count of
+  // the nodes before it plus one.
+  int64_t cumulative = 0;
+  int trips = 0;
+  for (const etl::NodeStats& node : unbounded->nodes) {
+    ResourceBudget budget;
+    budget.max_rows_materialized = cumulative + 1;
+    cumulative += node.rows_out;
+    if (node.rows_out == 0) continue;
+    ExecContext row_ctx(CancellationToken(), Deadline::Infinite(), budget);
+    auto row_run = row_executor.Run(*flow, etl::RetryPolicy{}, nullptr,
+                                    &row_ctx);
+    ASSERT_FALSE(row_run.ok()) << node.node_id;
+    ASSERT_TRUE(row_run.status().IsResourceExhausted()) << row_run.status();
+    ExecContext query_ctx(CancellationToken(), Deadline::Infinite(), budget);
+    auto served = quarry_->SubmitQuery(query, {}, &query_ctx);
+    ASSERT_FALSE(served.ok()) << node.node_id;
+    ASSERT_TRUE(served.status().IsResourceExhausted()) << served.status();
+    EXPECT_EQ(node_of(served.status()), node_of(row_run.status()))
+        << "budget " << budget.max_rows_materialized << ": "
+        << served.status() << " vs " << row_run.status();
+    EXPECT_EQ(node_of(served.status()), "node '" + node.node_id)
+        << served.status();
+    ++trips;
+  }
+  EXPECT_GE(trips, 4);
 }
 
 TEST_F(ServingTest, QueryLaneShedsWithLabelledMetricsWhenSaturated) {

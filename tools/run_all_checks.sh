@@ -56,7 +56,7 @@ run_step() {
 
 tier1() {
   cmake -B "${build_dir}" -S "${repo_root}" &&
-    cmake --build "${build_dir}" -j &&
+    cmake --build "${build_dir}" -j "$(nproc)" &&
     ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 }
 
@@ -69,8 +69,10 @@ warehouse_recovery() {
     --output-on-failure
 }
 
-# Three-way differential harness + bench smoke (DESIGN.md §8): the filter
-# pins the vectorized equivalence suite so a rename that silently empties it
+# Three-way differential harness + bench smoke (DESIGN.md §8), plus the
+# serving-path differential (cube queries on the chunk kernels vs. the
+# loader path they replaced): the filters pin the vectorized equivalence
+# suites so a rename that silently empties one
 # shows up as a 0-test run in this step's output, and the bench smoke proves
 # fingerprint equality on TPC-H data with the chunk kernels verifiably
 # engaged (it exits non-zero when they never ran).
@@ -78,7 +80,9 @@ vectorized_differential() {
   "${build_dir}/tests/etl_parallel_test" \
     --gtest_filter='EtlVectorizedTest.*' &&
     "${build_dir}/tests/property_test" \
-      --gtest_filter='*VectorizedProperty*'
+      --gtest_filter='*VectorizedProperty*' &&
+    "${build_dir}/tests/olap_test" \
+      --gtest_filter='CubeQueryFastPathTest.*'
 }
 
 vectorized_bench_smoke() {
@@ -91,7 +95,7 @@ vectorized_bench_smoke() {
 perfbench_build() {
   cmake -S "${repo_root}/perfbench" -B "${build_dir}/perfbench" \
     -DCMAKE_BUILD_TYPE=Release &&
-    cmake --build "${build_dir}/perfbench" -j
+    cmake --build "${build_dir}/perfbench" -j "$(nproc)"
 }
 
 run_step "tier-1 build+ctest" tier1
