@@ -1,44 +1,46 @@
-// Row-at-a-time vs vectorized chunk execution (DESIGN.md §8,
-// BENCH_vectorized.json): the same scan-heavy TPC-H flow runs through both
-// executor modes and the wall-clock ratio is the headline number. Every
-// measured pair also cross-checks the target fingerprints — a speedup that
-// changes bytes is a bug, not a win — so the bench doubles as a coarse
+// Row-at-a-time vs chunked execution on the one chunk runtime (DESIGN.md
+// §8, BENCH_vectorized.json): the same scan-heavy TPC-H flows run at chunk
+// size 1 — one row per chunk, the row-at-a-time reference — and at the
+// default 1024, and the wall-clock ratio is the headline number. Every
+// measured run is also checked against the executor's golden corpus
+// (tests/golden_corpus.h: fingerprint, rows_processed and per-node row
+// counts frozen from the retired row executor) — a speedup that changes
+// bytes is a bug, not a win — so the bench doubles as a coarse
 // differential test on real TPC-H data.
 //
 // Scenarios, per scale factor:
 //   scan_agg             lineitem scan -> filter (l_quantity < 24) ->
 //                        derived revenue column -> projection -> group-by
 //                        aggregation -> tiny loader. Scan-dominated with a
-//                        3-row output: the acceptance scenario (>= 2x at
-//                        sf 0.02).
+//                        3-row output.
 //   filter_project_load  same scan + filter + projection but loading every
 //                        surviving row. The loader's row-at-a-time merge is
-//                        shared by both modes, so this bounds how much of
-//                        the pipeline the chunk kernels can actually
-//                        accelerate when the sink is write-heavy.
+//                        the same at every chunk size, so this bounds how
+//                        much of the pipeline chunking can accelerate when
+//                        the sink is write-heavy.
 //
 // Flags:
-//   --smoke      one small scale factor, one iteration, hard-assert
-//                fingerprint equality and that the chunk kernels really ran
-//                (exit 1 otherwise) — wired into tools/run_all_checks.sh
-//   --sf=CSV     comma-separated scale factors (default 0.005,0.01,0.02)
-//   --iters=N    timed iterations per mode, best-of (default 5; smoke 1)
+//   --smoke      one small scale factor, one iteration, hard-assert that
+//                every run matches the golden corpus and that the chunk
+//                kernels really ran (exit 1 otherwise) — wired into
+//                tools/run_all_checks.sh
+//   --sf=CSV     comma-separated scale factors out of 0.005, 0.01, 0.02
+//                (the ones the golden corpus records; default all three)
+//   --iters=N    timed iterations per chunk size, best-of (default 5;
+//                smoke 1)
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "datagen/tpch.h"
 #include "etl/exec/executor.h"
-#include "etl/flow.h"
+#include "golden_corpus.h"
 #include "obs/metrics.h"
 #include "storage/database.h"
 
@@ -80,88 +82,37 @@ Options ParseArgs(int argc, char** argv) {
   return opts;
 }
 
-etl::Node MakeNode(const std::string& id, etl::OpType type,
-                   std::map<std::string, std::string> params) {
-  etl::Node node;
-  node.id = id;
-  node.type = type;
-  node.params = std::move(params);
-  return node;
-}
-
-/// Shared scan front: lineitem -> extract -> filter -> revenue column ->
-/// projection onto (l_returnflag, l_quantity, revenue).
-void AddScanFront(etl::Flow* flow) {
-  (void)flow->AddNode(
-      MakeNode("ds", etl::OpType::kDatastore, {{"table", "lineitem"}}));
-  (void)flow->AddNode(
-      MakeNode("ex", etl::OpType::kExtraction, {{"table", "lineitem"}}));
-  (void)flow->AddNode(MakeNode("sel", etl::OpType::kSelection,
-                               {{"predicate", "l_quantity < 24"}}));
-  (void)flow->AddNode(
-      MakeNode("fn", etl::OpType::kFunction,
-               {{"column", "revenue"},
-                {"expr", "l_extendedprice * (1 - l_discount)"}}));
-  (void)flow->AddNode(
-      MakeNode("proj", etl::OpType::kProjection,
-               {{"columns", "l_returnflag,l_quantity,revenue"}}));
-  (void)flow->AddEdge("ds", "ex");
-  (void)flow->AddEdge("ex", "sel");
-  (void)flow->AddEdge("sel", "fn");
-  (void)flow->AddEdge("fn", "proj");
-}
-
-etl::Flow BuildScanAggFlow() {
-  etl::Flow flow("scan_agg");
-  AddScanFront(&flow);
-  (void)flow.AddNode(MakeNode(
-      "agg", etl::OpType::kAggregation,
-      {{"group", "l_returnflag"}, {"aggs", "SUM(revenue) AS revenue"}}));
-  (void)flow.AddNode(
-      MakeNode("load", etl::OpType::kLoader, {{"table", "fact_revenue"}}));
-  (void)flow.AddEdge("proj", "agg");
-  (void)flow.AddEdge("agg", "load");
-  return flow;
-}
-
-etl::Flow BuildFilterProjectLoadFlow() {
-  etl::Flow flow("filter_project_load");
-  AddScanFront(&flow);
-  (void)flow.AddNode(
-      MakeNode("load", etl::OpType::kLoader, {{"table", "wide_out"}}));
-  (void)flow.AddEdge("proj", "load");
-  return flow;
-}
-
-struct ModeResult {
-  double best_ms = 0.0;
-  uint64_t fingerprint = 0;
-  int64_t rows_processed = 0;
+struct ArmResult {
+  double best_ms = 1e30;
+  int mismatches = 0;  ///< Runs whose records differ from the golden file.
 };
 
-ModeResult RunMode(const storage::Database& source, const etl::Flow& flow,
-                   bool vectorized, int iters) {
-  ModeResult result;
-  result.best_ms = 1e30;
+/// Best-of-`iters` wall time of `c` at `chunk_size`, every run checked
+/// against the golden corpus.
+ArmResult RunArm(const etl::testutil::CorpusCase& c, int64_t chunk_size,
+                 int iters) {
+  ArmResult result;
   for (int i = 0; i < iters; ++i) {
     storage::Database target("dw");
-    etl::Executor executor(&source, &target);
+    etl::Executor executor(c.source.get(), &target);
     etl::ExecOptions options;
-    options.vectorized = vectorized;
+    options.chunk_size = chunk_size;
     const auto start = std::chrono::steady_clock::now();
-    auto report = executor.Run(flow, options, etl::RetryPolicy{}, nullptr);
+    auto report = executor.Run(c.flow, options, etl::RetryPolicy{}, nullptr);
     const auto end = std::chrono::steady_clock::now();
-    if (!report.ok()) {
-      std::fprintf(stderr, "flow %s (%s) failed: %s\n",
-                   flow.name().c_str(), vectorized ? "vectorized" : "row",
-                   report.status().ToString().c_str());
-      std::exit(1);
+    result.best_ms = std::min(
+        result.best_ms,
+        std::chrono::duration<double, std::milli>(end - start).count());
+    etl::testutil::CaseRun run;
+    run.outcome.status = report.status();
+    if (report.ok()) run.outcome.report = std::move(*report);
+    run.outcome.fingerprint = target.Fingerprint();
+    const std::string diff = etl::testutil::GoldenMismatch(
+        c, run, "chunk_size=" + std::to_string(chunk_size));
+    if (!diff.empty()) {
+      std::fprintf(stderr, "DIVERGENCE: %s\n", diff.c_str());
+      ++result.mismatches;
     }
-    const double ms =
-        std::chrono::duration<double, std::milli>(end - start).count();
-    result.best_ms = std::min(result.best_ms, ms);
-    result.fingerprint = target.Fingerprint();
-    result.rows_processed = report->rows_processed;
   }
   return result;
 }
@@ -179,7 +130,7 @@ int Main(int argc, char** argv) {
 
   std::printf("{\n  \"bench\": \"bench_etl_vectorized\",\n");
   std::printf("  \"smoke\": %s,\n", opts.smoke ? "true" : "false");
-  std::printf("  \"iters_per_mode\": %d,\n", opts.iters);
+  std::printf("  \"iters_per_chunk_size\": %d,\n", opts.iters);
   std::printf("  \"host_hw_concurrency\": %u,\n",
               std::thread::hardware_concurrency());
   std::printf("  \"host_load_avg_1min\": %.2f,\n", LoadAverage1Min());
@@ -190,50 +141,30 @@ int Main(int argc, char** argv) {
                                         .counter("quarry_etl_chunk_rows_total")
                                         .value();
   for (double sf : opts.scale_factors) {
-    storage::Database source("tpch");
-    auto populated = datagen::PopulateTpch(&source, {sf, 23});
-    if (!populated.ok()) {
-      std::fprintf(stderr, "PopulateTpch(%g) failed: %s\n", sf,
-                   populated.ToString().c_str());
-      return 1;
-    }
-    const int64_t lineitem_rows =
-        static_cast<int64_t>((*source.GetTable("lineitem"))->num_rows());
-
-    for (const etl::Flow& flow :
-         {BuildScanAggFlow(), BuildFilterProjectLoadFlow()}) {
-      ModeResult row = RunMode(source, flow, /*vectorized=*/false,
-                               opts.iters);
-      ModeResult vec = RunMode(source, flow, /*vectorized=*/true,
-                               opts.iters);
-      const double speedup = vec.best_ms > 0.0 ? row.best_ms / vec.best_ms
-                                               : 0.0;
-      const bool bytes_equal = row.fingerprint == vec.fingerprint &&
-                               row.rows_processed == vec.rows_processed;
-      if (!bytes_equal) ++failures;
+    for (const etl::testutil::CorpusCase& c :
+         etl::testutil::BenchCases(sf)) {
+      const int64_t lineitem_rows = static_cast<int64_t>(
+          (*c.source->GetTable("lineitem"))->num_rows());
+      ArmResult row = RunArm(c, /*chunk_size=*/1, opts.iters);
+      ArmResult chunked = RunArm(c, /*chunk_size=*/1024, opts.iters);
+      const double speedup =
+          chunked.best_ms > 0.0 ? row.best_ms / chunked.best_ms : 0.0;
+      const bool golden = row.mismatches == 0 && chunked.mismatches == 0;
+      if (!golden) ++failures;
       if (!first) std::printf(",\n");
       first = false;
       std::printf(
           "    {\"flow\": \"%s\", \"scale_factor\": %g, "
-          "\"lineitem_rows\": %lld, \"row_ms\": %.2f, "
-          "\"vectorized_ms\": %.2f, \"speedup\": %.2f, "
-          "\"bytes_equal\": %s}",
-          flow.name().c_str(), sf,
-          static_cast<long long>(lineitem_rows), row.best_ms, vec.best_ms,
-          speedup, bytes_equal ? "true" : "false");
-      if (!bytes_equal) {
-        std::fprintf(stderr,
-                     "DIVERGENCE: flow %s sf %g row fp %llu vec fp %llu\n",
-                     flow.name().c_str(), sf,
-                     static_cast<unsigned long long>(row.fingerprint),
-                     static_cast<unsigned long long>(vec.fingerprint));
-      }
+          "\"lineitem_rows\": %lld, \"chunk1_ms\": %.2f, "
+          "\"chunk1024_ms\": %.2f, \"speedup\": %.2f, "
+          "\"golden_match\": %s}",
+          c.flow.name().c_str(), sf, static_cast<long long>(lineitem_rows),
+          row.best_ms, chunked.best_ms, speedup, golden ? "true" : "false");
     }
   }
   std::printf("\n  ]\n}\n");
 
-  // The vectorized arms must have gone through the chunk kernels — a silent
-  // row-path fallback would make every "speedup" above meaningless.
+  // Every run must have gone through the chunk kernels.
   const int64_t chunk_rows = obs::MetricsRegistry::Instance()
                                  .counter("quarry_etl_chunk_rows_total")
                                  .value() -
@@ -246,7 +177,8 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "%d invariant(s) failed\n", failures);
     return 1;
   }
-  std::fprintf(stderr, "etl vectorized bench: all fingerprints matched\n");
+  std::fprintf(stderr,
+               "etl chunk bench: every run matched the golden corpus\n");
   return 0;
 }
 

@@ -2,8 +2,8 @@
 // BENCH_lifecycle.json):
 //  - cancellation-check overhead: the unified ETL flow executed with no
 //    ExecContext vs with an unbounded one attached (per-node pre-checks,
-//    per-kCancelBatchRows cooperative polls and budget charges on the hot
-//    path) — the acceptance bound is < 2% overhead;
+//    per-chunk cooperative polls and budget charges on the hot path) —
+//    the acceptance bound is < 2% overhead;
 //  - admission-gate throughput: Admit/Release cycles through a saturated
 //    AdmissionController from 1..8 threads, measuring what the FIFO
 //    queue + condvar cost under contention.
@@ -88,8 +88,8 @@ void BM_EtlNoContext(benchmark::State& state) {
 BENCHMARK(BM_EtlNoContext)->Unit(benchmark::kMillisecond);
 
 // Same flow with a live (never-firing) ExecContext: every node pre-checks,
-// every row loop polls the token each kCancelBatchRows rows, every node
-// output is charged against the (unlimited) budgets.
+// every chunk polls the token and is charged against the (unlimited)
+// budgets.
 void BM_EtlWithContext(benchmark::State& state) {
   Scenario& s = SharedScenario();
   for (auto _ : state) {

@@ -64,8 +64,9 @@ struct QuarryConfig {
   AdmissionOptions admission;
   /// How the ETL runs of DeployServing and RefreshServing execute
   /// (docs/ROBUSTNESS.md §8): `max_workers > 1` runs them on the wavefront
-  /// scheduler, `vectorized` on the chunk runtime. The only exec setting of
-  /// Quarry's deploys: DeployOptions::exec is overridden with it.
+  /// scheduler, `chunk_size` sets the rows per scanned chunk. The only exec
+  /// setting of Quarry's deploys: DeployOptions::exec is overridden with
+  /// it. Cube queries always run serially at the default chunk size.
   etl::ExecOptions etl_exec;
   /// Snapshot-isolated serving (docs/ROBUSTNESS.md §9).
   ServingOptions serving;

@@ -17,36 +17,27 @@
 
 namespace quarry::etl {
 
-/// \brief An intermediate operator result: named columns over rows.
+/// \brief An operator result: named columns over typed storage::Chunks
+/// (DESIGN.md §8).
 ///
-/// Two interchangeable payloads (DESIGN.md §8):
-///   - row form: `rows` holds materialized storage::Rows (the classic
-///     representation; `columnar` is false).
-///   - columnar form: `chunks` holds typed storage::Chunks and `rows` is
-///     empty (`columnar` is true). Produced only by the vectorized kernels.
-/// Consumers that need rows call MaterializeRows() (or the free helper
-/// DatasetRows); both forms describe the same logical relation, and the
-/// round-trip is value-exact, so fingerprints and per-node row counts never
-/// depend on which form a node happened to produce.
+/// The executor reads and writes only `chunks`; Resume refuses a
+/// checkpoint dataset with `rows`. `rows` is the answer form that only
+/// olap::CubeQueryEngine::Execute fills, once, with `chunks` left empty.
+/// `row_count()` and `MaterializeRows()` read whichever form is set.
 struct Dataset {
   std::vector<std::string> columns;
-  std::vector<storage::Row> rows;
-  bool columnar = false;
   std::vector<storage::Chunk> chunks;
+  std::vector<storage::Row> rows;
 
-  /// Logical row count regardless of payload form.
   int64_t row_count() const {
-    if (!columnar) return static_cast<int64_t>(rows.size());
-    int64_t n = 0;
+    int64_t n = static_cast<int64_t>(rows.size());
     for (const storage::Chunk& c : chunks) n += c.num_rows();
     return n;
   }
 
-  /// The relation as materialized rows (selection vectors applied), in
-  /// chunk order. For a row-form dataset this copies `rows`.
+  /// The relation as materialized rows (selection vectors applied).
   std::vector<storage::Row> MaterializeRows() const {
-    if (!columnar) return rows;
-    std::vector<storage::Row> out;
+    std::vector<storage::Row> out = rows;
     out.reserve(static_cast<size_t>(row_count()));
     for (const storage::Chunk& c : chunks) c.AppendRowsTo(&out);
     return out;
@@ -115,48 +106,21 @@ struct Checkpoint {
 /// \brief How a flow is executed (docs/ROBUSTNESS.md §8).
 struct ExecOptions {
   /// Worker-pool size of the wavefront scheduler. 1 (the default) runs the
-  /// flow serially on the calling thread — exactly the pre-scheduler
-  /// behavior. N > 1 executes independent nodes concurrently; target-table
-  /// contents stay byte-identical to a serial run because loader nodes are
-  /// sequenced in topological order (tests/etl_parallel_test.cc proves it
-  /// differentially). Values above the node count just idle extra workers.
+  /// flow serially on the calling thread. N > 1 executes independent nodes
+  /// concurrently; target-table contents stay byte-identical to a serial
+  /// run because loader nodes are sequenced in topological order
+  /// (tests/etl_parallel_test.cc proves it differentially). Values above
+  /// the node count just idle extra workers.
   int max_workers = 1;
-  /// Run operators through the vectorized chunk kernels (DESIGN.md §8)
-  /// where one exists (HasVectorizedKernel); other operators silently fall
-  /// back to the row kernels. Off by default: results are byte-identical
-  /// either way (tests/etl_parallel_test.cc proves it differentially), so
-  /// vectorization is purely a throughput knob. Composes with max_workers —
-  /// the scheduler runs whichever kernel the options select. This is the
-  /// setting of deploys and refreshes only (QuarryConfig::etl_exec): cube
-  /// queries always run the chunk kernels (olap::CubeQueryEngine::Execute).
-  bool vectorized = false;
-  /// Rows per chunk in vectorized mode. Values < 1 behave like 1.
+  /// Rows per chunk a Datastore scan (and a Sort's output) is cut into.
+  /// Values < 1 behave like 1; chunk size 1 runs row at a time. No chunk
+  /// size changes a byte of the result (the golden-corpus tests sweep it).
   int64_t chunk_size = 1024;
 };
 
-/// True when the vectorized runtime has a chunk kernel for this operator
-/// type. Operators without one (Sort, Union, SurrogateKey) run their row
-/// kernel even in vectorized mode.
-bool HasVectorizedKernel(OpType type);
-
-/// The dataset's rows. Row-form datasets are returned directly (no copy);
-/// columnar datasets are materialized into `*scratch`, which must outlive
-/// the returned reference. Lets row kernels consume either payload form.
-const std::vector<storage::Row>& DatasetRows(
-    const Dataset& data, std::vector<storage::Row>* scratch);
-
-/// The dataset as chunks of at most `chunk_size` rows. Columnar datasets
-/// are returned directly (their existing chunk boundaries are kept — they
-/// already bound per-chunk work); row-form datasets are transposed into
-/// `*scratch`, which must outlive the returned reference.
-const std::vector<storage::Chunk>& DatasetChunks(
-    const Dataset& data, int64_t chunk_size,
-    std::vector<storage::Chunk>* scratch);
-
 /// Lower-bound memory estimate for `rows` rows of `columns` columns — the
-/// unit of the intermediate-bytes budget. Deliberately linear in rows so
-/// per-chunk charges in vectorized mode sum to exactly the node-level
-/// charge of the row path (a budget still trips at the same node).
+/// unit of the intermediate-bytes budget. Linear in rows, so the per-chunk
+/// charges of a node sum to the same total whatever the chunk size.
 int64_t ApproxRowsBytes(int64_t rows, size_t columns);
 
 /// Per-node execution statistics.
@@ -167,9 +131,6 @@ struct NodeStats {
   int64_t rows_out = 0;
   double millis = 0;
   int attempts = 1;  ///< 1 = first attempt succeeded.
-  /// Which kernel ran the node: "chunk" (vectorized) or "row" — a node of
-  /// a vectorized run without a chunk kernel reports "row" (fallback).
-  std::string kernel = "row";
 };
 
 /// \brief Outcome of executing a flow.
@@ -199,8 +160,9 @@ std::vector<obs::ProfileNode> BuildProfileTrees(const Flow& flow,
 /// \brief Executes logical ETL flows (xLM) — the repo's stand-in for
 /// Pentaho PDI (see DESIGN.md §2).
 ///
-/// Operators are evaluated in topological order, materializing one Dataset
-/// per node. Loader semantics: the target table is created on first use
+/// Operators are evaluated in topological order by the chunk kernels
+/// (etl/exec/vectorized.cc), materializing one Dataset per node. Loader
+/// semantics: the target table is created on first use
 /// (column types inferred from the data) unless it already exists; target
 /// columns the dataset lacks load as NULL; when the Loader declares `keys`,
 /// a row whose key already exists *merges* — its non-NULL values fill the
@@ -217,8 +179,8 @@ std::vector<obs::ProfileNode> BuildProfileTrees(const Flow& flow,
 ///
 /// Lifecycle (docs/ROBUSTNESS.md §7): with an ExecContext attached, the
 /// executor checks cancellation + deadline before every node attempt and
-/// cooperatively every kCancelBatchRows rows inside row-loop operators, and
-/// charges each node's output against the row/byte budgets. A lifecycle
+/// again at every chunk a kernel processes (the per-chunk gate), and charges
+/// each chunk a node emits against the row/byte budgets. A lifecycle
 /// error (kCancelled / kDeadlineExceeded / kResourceExhausted) is never
 /// retried and fails the run exactly like an operator fault — loader tables
 /// roll back to their per-attempt snapshot and the checkpoint is populated,
@@ -234,11 +196,6 @@ std::vector<obs::ProfileNode> BuildProfileTrees(const Flow& flow,
 /// the catalog a sibling extraction is reading from cannot be overlapped.
 class Executor {
  public:
-  /// Row-loop operators poll ExecContext::Check once per this many rows:
-  /// frequent enough to bound cancellation latency on huge inputs, rare
-  /// enough to stay invisible next to per-row work (BENCH_lifecycle.json).
-  static constexpr int64_t kCancelBatchRows = 1024;
-
   /// `source` provides Datastore tables; `target` receives Loader output
   /// and may be null for flows without Loader nodes (cube query plans).
   /// Both pointers must outlive the executor. They may alias.
@@ -262,10 +219,10 @@ class Executor {
   /// lifecycle errors never retried, loader rollback, checkpoint/Resume.
   ///
   /// `sink` (nullable) receives, on success, the dataset of the flow's
-  /// single non-loader sink — in whichever form its kernel produced it —
-  /// so a flow that ends in an operator instead of a Loader (a cube query
-  /// plan) hands its answer back without a target table. A flow with no or
-  /// several non-loader sinks fails with InvalidArgument before any work.
+  /// single non-loader sink, so a flow that ends in an operator instead of
+  /// a Loader (a cube query plan) hands its answer back without a target
+  /// table. A flow with no or several non-loader sinks fails with
+  /// InvalidArgument before any work.
   Result<ExecutionReport> Run(const Flow& flow, const ExecOptions& options,
                               const RetryPolicy& retry,
                               Checkpoint* checkpoint = nullptr,
@@ -275,8 +232,8 @@ class Executor {
   /// Continues a failed run from `checkpoint`: completed operators are
   /// skipped (their checkpointed outputs feed the remaining ones) and the
   /// checkpoint keeps advancing, so Resume can itself be resumed. The
-  /// checkpoint's completed *set* may come from a serial or a parallel run;
-  /// either executor mode resumes it.
+  /// checkpoint's completed *set* may come from a serial or a parallel run,
+  /// at any chunk size; either resumes it.
   Result<ExecutionReport> Resume(const Flow& flow, Checkpoint* checkpoint,
                                  const RetryPolicy& retry = {},
                                  const ExecContext* ctx = nullptr);
@@ -324,7 +281,6 @@ class Executor {
     Result<Dataset> result = Status::Internal("node never attempted");
     int attempts = 1;
     LoaderEffect loader;  ///< Valid only when `result` is OK.
-    bool chunk_kernel = false;  ///< NodeStats::kernel: "chunk" vs "row".
   };
 
   Result<ExecutionReport> RunInternal(const Flow& flow,
@@ -334,37 +290,28 @@ class Executor {
                                       const ExecContext* ctx,
                                       Dataset* sink = nullptr);
 
-  /// Runs one operator once. `inputs` are the predecessor datasets in edge
-  /// order (resolved by the caller, so concurrent workers never look up the
-  /// shared dataset map while another thread mutates it). With
-  /// `options.vectorized` set, operators that have a chunk kernel dispatch
-  /// to RunNodeVectorized after the shared per-node fault point.
+  /// Runs one operator once on its chunk kernel (etl/exec/vectorized.cc).
+  /// `inputs` are the predecessor datasets in edge order (resolved by the
+  /// caller, so concurrent workers never look up the shared dataset map
+  /// while another thread mutates it). After the per-operator fault point
+  /// ("etl.exec.<Op>"), the kernel processes its inputs chunk by chunk with
+  /// a per-chunk lifecycle check, fault point ("etl.exec.vec.chunk") and
+  /// budget charge. Loaders are sinks and emit no rows.
   Result<Dataset> RunNode(const Node& node,
                           const std::vector<const Dataset*>& inputs,
                           LoaderEffect* loader, const ExecContext* ctx,
                           const ExecOptions& options);
 
-  /// The vectorized chunk kernels (etl/exec/vectorized.cc). Processes the
-  /// inputs chunk by chunk with a per-chunk lifecycle check, fault point
-  /// ("etl.exec.vec.chunk") and budget charge; produces a columnar Dataset
-  /// (except Loader, which stays a sink). Must agree byte-for-byte with the
-  /// row kernels — the three-way differential harness enforces it.
-  Result<Dataset> RunNodeVectorized(const Node& node,
-                                    const std::vector<const Dataset*>& inputs,
-                                    LoaderEffect* loader,
-                                    const ExecContext* ctx,
-                                    const ExecOptions& options);
-
   /// The per-node attempt loop shared by the serial path and the scheduler:
-  /// context pre-check, loader table snapshot, RunNode, budget charges
-  /// inside the attempt, loader rollback on failure, bounded backoff
-  /// between attempts. Lifecycle errors are never retried.
+  /// context pre-check, loader table snapshot, RunNode (whose per-chunk
+  /// budget charges ride inside the attempt), loader rollback on failure,
+  /// bounded backoff between attempts. Lifecycle errors are never retried.
   /// `protect_loader_always` forces the loader snapshot even without
   /// retries/checkpoint/ctx (parallel runs always protect: a sibling's
   /// failure must never leave this loader's table half-written).
   NodeAttempt ExecuteNode(const Node& node,
                           const std::vector<const Dataset*>& inputs,
-                          int64_t rows_in, const RetryPolicy& retry,
+                          const RetryPolicy& retry,
                           const ExecContext* ctx, bool protect_loader_always,
                           Prng* backoff_prng, BackoffBudget* backoff,
                           const ExecOptions& options);

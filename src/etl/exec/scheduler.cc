@@ -243,7 +243,7 @@ void Scheduler::Worker(int worker_index) {
       // shared stream for bit-compatibility with the determinism tests.
       Prng backoff_prng(retry_.jitter_seed ^
                         static_cast<uint64_t>(std::hash<std::string>{}(id)));
-      outcome = executor_->ExecuteNode(node, inputs, rows_in, retry_, ctx_,
+      outcome = executor_->ExecuteNode(node, inputs, retry_, ctx_,
                                        /*protect_loader_always=*/true,
                                        &backoff_prng, &backoff_, options_);
       if (outcome.result.ok()) {
@@ -293,7 +293,6 @@ void Scheduler::CompleteNode(const std::string& id, const Node& node,
   stats.rows_out = outcome->result->row_count();
   stats.millis = node_millis;
   stats.attempts = outcome->attempts;
-  stats.kernel = outcome->chunk_kernel ? "chunk" : "row";
   CountNodeDone(node, stats.rows_out, node_millis * 1000.0);
   report_.rows_processed += rows_in;
   report_.attempts += outcome->attempts;

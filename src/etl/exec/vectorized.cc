@@ -1,25 +1,29 @@
-// Vectorized chunk kernels for the ETL executor (DESIGN.md §8).
+// The ETL executor's operator kernels (DESIGN.md §8): the one runtime of
+// every deploy, refresh and cube query.
 //
 // Each kernel processes its input as storage::Chunks: a lifecycle check, a
-// fault point ("etl.exec.vec.chunk") and a budget charge run once per chunk
-// instead of once per node, so cancellation/deadline/budget trips land at
-// chunk granularity while totals stay exactly equal to the row path
-// (ApproxRowsBytes is linear in rows). Every kernel must produce output
-// byte-identical to its row counterpart in executor.cc — identical row
-// order, identical Values, identical error statuses. The three-way
-// differential harness (tests/etl_parallel_test.cc) enforces this.
+// fault point ("etl.exec.vec.chunk") and a budget charge run once per
+// chunk, so cancellation/deadline/budget trips land at chunk granularity
+// while the totals stay independent of the chunk size (ApproxRowsBytes is
+// linear in rows). No chunk size may change a byte of the output: row
+// order, Values and error statuses match the frozen row-at-a-time records
+// of the golden corpus (tests/golden_corpus.h) at every chunk size and
+// worker count.
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/fault_injection.h"
+#include "common/str_util.h"
 #include "etl/exec/executor.h"
-#include "etl/exec/kernel_util.h"
 #include "etl/expr.h"
 #include "etl/schema_inference.h"
 #include "obs/metrics.h"
@@ -31,35 +35,134 @@ using storage::DataType;
 using storage::Row;
 using storage::Value;
 using storage::ValueSegment;
-using kernel::AggState;
-using kernel::ColumnPositions;
-using kernel::ExtractKey;
-using kernel::Param;
-using kernel::RowKeyEq;
-using kernel::RowKeyHash;
-using kernel::SplitNonEmpty;
 
 namespace {
+
+// ---- parameter parsing, column lookup, Row keys and aggregate state ----
+
+std::vector<std::string> SplitNonEmpty(const std::string& text) {
+  std::vector<std::string> out;
+  for (const std::string& part : Split(text, ',')) {
+    std::string trimmed(Trim(part));
+    if (!trimmed.empty()) out.push_back(std::move(trimmed));
+  }
+  return out;
+}
+
+Result<std::vector<size_t>> ColumnPositions(
+    const std::vector<std::string>& columns,
+    const std::vector<std::string>& wanted, const std::string& node_id) {
+  std::vector<size_t> out;
+  out.reserve(wanted.size());
+  for (const std::string& name : wanted) {
+    auto it = std::find(columns.begin(), columns.end(), name);
+    if (it == columns.end()) {
+      return Status::ExecutionError("node '" + node_id +
+                                    "': unknown column '" + name + "'");
+    }
+    out.push_back(static_cast<size_t>(it - columns.begin()));
+  }
+  return out;
+}
+
+struct RowKeyHash {
+  size_t operator()(const storage::Row& r) const {
+    return storage::HashRow(r);
+  }
+};
+struct RowKeyEq {
+  bool operator()(const storage::Row& a, const storage::Row& b) const {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (!a[i].SameAs(b[i])) return false;
+    }
+    return true;
+  }
+};
+
+storage::Row ExtractKey(const storage::Row& row,
+                        const std::vector<size_t>& positions) {
+  storage::Row key;
+  key.reserve(positions.size());
+  for (size_t p : positions) key.push_back(row[p]);
+  return key;
+}
+
+std::string Param(const Node& node, const std::string& key) {
+  auto it = node.params.find(key);
+  return it == node.params.end() ? "" : it->second;
+}
+
+/// Running state of one aggregate.
+struct AggState {
+  double sum = 0;
+  int64_t int_sum = 0;
+  bool all_int = true;
+  bool any = false;
+  int64_t count = 0;
+  storage::Value min, max;
+};
+
+/// Folds one COUNT(*) observation.
+void AccumulateAggStar(AggState* st) {
+  ++st->count;
+  st->any = true;
+}
+
+/// Folds one column value; NULLs are skipped per SQL aggregate semantics.
+void AccumulateAgg(AggState* st, const storage::Value& v) {
+  if (v.is_null()) return;
+  ++st->count;
+  if (v.is_numeric()) {
+    st->sum += v.as_double();
+    if (v.is_int()) {
+      st->int_sum += v.as_int();
+    } else {
+      st->all_int = false;
+    }
+  }
+  if (!st->any || v.Compare(st->min) < 0) st->min = v;
+  if (!st->any || v.Compare(st->max) > 0) st->max = v;
+  st->any = true;
+}
+
+/// The aggregate's output value: COUNT of an empty group is 0, every other
+/// function NULLs out; SUM stays INT while every input was INT.
+storage::Value FinalizeAgg(const std::string& function,
+                           const AggState& st) {
+  if (function == "COUNT") return Value::Int(st.count);
+  if (!st.any) return Value::Null();
+  if (function == "SUM") {
+    return st.all_int ? Value::Int(st.int_sum) : Value::Double(st.sum);
+  }
+  if (function == "AVG") {
+    return Value::Double(st.sum / static_cast<double>(st.count));
+  }
+  if (function == "MIN") return st.min;
+  return st.max;
+}
+
+// ---- chunk accounting --------------------------------------------------
 
 obs::Counter& ChunkRowsCounter() {
   static obs::Counter& c = obs::MetricsRegistry::Instance().counter(
       "quarry_etl_chunk_rows_total",
-      "Rows processed by vectorized chunk kernels");
+      "Rows processed by the chunk kernels");
   return c;
 }
 
 void CountChunk(const Node& node, int64_t rows) {
   obs::MetricsRegistry::Instance()
       .counter("quarry_etl_chunk_batches_total",
-               "Chunks processed by vectorized kernels, by operator type",
+               "Chunks processed by the kernels, by operator type",
                {{"op", OpTypeToString(node.type)}})
       .Increment();
   ChunkRowsCounter().Increment(rows);
 }
 
-/// Per-chunk lifecycle gate: the context check uses the same message as the
-/// row path's BatchChecker so lifecycle errors read identically, and the
-/// fault site lets the fault matrix kill a node mid-stream.
+/// Per-chunk lifecycle gate: the context check names the node exactly like
+/// the per-node pre-check, and the fault site lets the fault matrix kill a
+/// node mid-stream.
 Status ChunkGate(const ExecContext* ctx, const std::string& node_id) {
   if (ctx != nullptr) {
     QUARRY_RETURN_NOT_OK(ctx->Check("node '" + node_id + "'"));
@@ -69,8 +172,8 @@ Status ChunkGate(const ExecContext* ctx, const std::string& node_id) {
 }
 
 /// Budget charges for the rows a kernel emits, chunk by chunk. Finish()
-/// keeps row-path parity for nodes that emitted no chunks: the row path
-/// always charges once per node, even for zero rows.
+/// charges once for a node that emitted no chunks, so every node charges
+/// at least once, even for zero rows.
 class OutputCharger {
  public:
   OutputCharger(const ExecContext* ctx, const std::string& node_id,
@@ -99,7 +202,7 @@ class OutputCharger {
 /// linear name scan (first occurrence wins, like RowView::Get), values come
 /// straight from the segments, and the tree walk mirrors Expr::Eval
 /// case-for-case — including AND/OR short-circuiting, so an unknown column
-/// in a short-circuited branch stays unnoticed exactly like the row path.
+/// in a short-circuited branch stays unnoticed exactly like Expr::Eval.
 class ChunkEval {
  public:
   explicit ChunkEval(const std::vector<std::string>& columns) {
@@ -329,10 +432,10 @@ Row ChunkKey(const Chunk& chunk, const std::vector<size_t>& positions,
   return key;
 }
 
-/// First non-NULL value's type across the chunks' live rows, in row order —
-/// the chunked twin of the row path's InferColumnType.
-Result<DataType> InferColumnTypeChunks(const std::vector<Chunk>& chunks,
-                                       size_t column) {
+/// First non-NULL value's type across the chunks' live rows, in row order:
+/// the type a Loader gives a column it creates.
+Result<DataType> InferColumnType(const std::vector<Chunk>& chunks,
+                                 size_t column) {
   for (const Chunk& chunk : chunks) {
     const ValueSegment& seg = chunk.segment(column);
     for (size_t i = 0; i < chunk.num_rows(); ++i) {
@@ -344,16 +447,18 @@ Result<DataType> InferColumnTypeChunks(const std::vector<Chunk>& chunks,
 }
 
 // ---------------------------------------------------------------------------
-// Hash join and hash aggregation. A key that is one column whose segments
-// all hold the same physical type — int64, date days or string — is hashed
-// on its payload (TypedKey) instead of a std::vector<Value> per row
-// (GenericKey). Payload equality within one type is exactly Value::SameAs
-// (Compare is exact for INT-INT, DATE-DATE and STRING-STRING), and NULL is
-// decided from the null mask before any payload is read. Keys whose
+// Hash join, hash aggregation and surrogate keys. A key that is one column
+// whose segments all hold the same physical type — int64, date days or
+// string — is hashed on its payload (TypedKey) instead of a
+// std::vector<Value> per row (GenericKey). Payload equality within one type
+// is exactly Value::SameAs (Compare is exact for INT-INT, DATE-DATE and
+// STRING-STRING), and NULL is decided from the null mask before any
+// payload is read. Keys whose
 // segments mix types (kMixed, INT in one chunk and DOUBLE in another) and
 // cross-type join pairs such as INT vs DOUBLE, where 1 and 1.0 are the same
 // key, stay generic. Both key forms share the kernels below, so NULL-key
-// semantics, probe-order output and first-seen group order cannot drift.
+// semantics, probe-order output and first-seen group and id order cannot
+// drift.
 
 enum class KeyKind { kNone, kInt64, kDate, kString, kGeneric };
 
@@ -428,8 +533,8 @@ constexpr uint32_t kNoRow = UINT32_MAX;
 void CountTypedKey(const Node& node) {
   obs::MetricsRegistry::Instance()
       .counter("quarry_etl_chunk_typed_key_total",
-               "Join and aggregation chunk-kernel runs that hashed a typed "
-               "single-column key, by operator type",
+               "Join, aggregation and surrogate-key kernel runs that hashed "
+               "a typed single-column key, by operator type",
                {{"op", OpTypeToString(node.type)}})
       .Increment();
 }
@@ -437,7 +542,8 @@ void CountTypedKey(const Node& node) {
 /// Runs `body` with the key functor(s) for the given key columns: typed
 /// when there is one column per side and every segment of both agrees on
 /// its type, generic otherwise. `sides` pairs each input's chunks with its
-/// key positions (one entry for aggregation, build and probe for joins).
+/// key positions (one entry for aggregation and surrogate keys, build and
+/// probe for joins).
 template <typename Body>
 Result<Dataset> WithKeys(
     const Node& node,
@@ -481,12 +587,11 @@ Result<Dataset> WithKeys(
 /// output columns are gathered straight from its segments.
 template <typename KeyFn>
 Result<Dataset> HashJoin(const Node& node, const ExecContext* ctx,
-                         const Dataset& left,
-                         const std::vector<Chunk>& left_chunks,
-                         const Dataset& right,
-                         const std::vector<Chunk>& right_chunks,
+                         const Dataset& left, const Dataset& right,
                          bool left_join, const KeyFn& left_key,
                          const KeyFn& right_key) {
+  const std::vector<Chunk>& left_chunks = left.chunks;
+  const std::vector<Chunk>& right_chunks = right.chunks;
   using Key = typename KeyFn::Type;
   using SourceRef = ValueSegment::SourceRef;
   std::vector<SourceRef> build_rows;
@@ -522,7 +627,6 @@ Result<Dataset> HashJoin(const Node& node, const ExecContext* ctx,
   }
 
   Dataset out;
-  out.columnar = true;
   out.columns = left.columns;
   out.columns.insert(out.columns.end(), right.columns.begin(),
                      right.columns.end());
@@ -531,7 +635,7 @@ Result<Dataset> HashJoin(const Node& node, const ExecContext* ctx,
     QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
     CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
     // One (left physical row, build row) pair per output row, in probe
-    // order — identical to the row path's output order.
+    // order.
     std::vector<uint32_t> left_phys;
     std::vector<SourceRef> right_refs;
     for (size_t i = 0; i < chunk.num_rows(); ++i) {
@@ -581,7 +685,7 @@ Result<Dataset> HashAggregate(const Node& node, const ExecContext* ctx,
   using Key = typename KeyFn::Type;
   std::unordered_map<Key, uint32_t, KeyHash<Key>, KeyEq<Key>> index;
   uint32_t null_group = kNoRow;
-  std::vector<Row> group_keys;   // First-seen order, like the row path.
+  std::vector<Row> group_keys;   // First-seen order.
   std::vector<AggState> states;  // specs.size() per group, group-major.
   for (const Chunk& chunk : chunks) {
     QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
@@ -604,10 +708,10 @@ Result<Dataset> HashAggregate(const Node& node, const ExecContext* ctx,
       AggState* st = &states[static_cast<size_t>(g) * specs.size()];
       for (size_t s = 0; s < specs.size(); ++s) {
         if (specs[s].input == "*") {
-          kernel::AccumulateAggStar(&st[s]);
+          AccumulateAggStar(&st[s]);
           continue;
         }
-        kernel::AccumulateAgg(
+        AccumulateAgg(
             &st[s], chunk.segment(static_cast<size_t>(agg_pos[s])).At(phys));
       }
     }
@@ -617,50 +721,169 @@ Result<Dataset> HashAggregate(const Node& node, const ExecContext* ctx,
   out.columns = group;
   for (const AggSpec& s : specs) out.columns.push_back(s.output);
   OutputCharger charge(ctx, node.id, out.columns.size());
-  if (out.columns.empty()) {
-    // Degenerate no-group no-agg shape: rows without segments cannot live
-    // in a chunk, so fall back to (empty) Rows.
-    out.rows.resize(group_keys.size());
-  } else {
-    out.columnar = true;
-    if (!group_keys.empty()) {
-      std::vector<std::vector<Value>> cols(out.columns.size());
-      for (auto& col : cols) col.reserve(group_keys.size());
-      for (size_t g = 0; g < group_keys.size(); ++g) {
-        for (size_t k = 0; k < group_pos.size(); ++k) {
-          cols[k].push_back(std::move(group_keys[g][k]));
-        }
-        for (size_t s = 0; s < specs.size(); ++s) {
-          cols[group_pos.size() + s].push_back(kernel::FinalizeAgg(
-              specs[s].function, states[g * specs.size() + s]));
-        }
+  if (out.columns.empty() && !group_keys.empty()) {
+    // No group and no aggregate: the one group's row has no columns.
+    out.chunks.push_back(Chunk::Columnless(group_keys.size()));
+  } else if (!group_keys.empty()) {
+    std::vector<std::vector<Value>> cols(out.columns.size());
+    for (auto& col : cols) col.reserve(group_keys.size());
+    for (size_t g = 0; g < group_keys.size(); ++g) {
+      for (size_t k = 0; k < group_pos.size(); ++k) {
+        cols[k].push_back(std::move(group_keys[g][k]));
       }
-      std::vector<Chunk::SegmentPtr> segments;
-      segments.reserve(cols.size());
-      for (auto& col : cols) {
-        segments.push_back(std::make_shared<const ValueSegment>(
-            ValueSegment::FromValues(std::move(col))));
+      for (size_t s = 0; s < specs.size(); ++s) {
+        cols[group_pos.size() + s].push_back(FinalizeAgg(
+            specs[s].function, states[g * specs.size() + s]));
       }
-      out.chunks.emplace_back(std::move(segments));
     }
+    std::vector<Chunk::SegmentPtr> segments;
+    segments.reserve(cols.size());
+    for (auto& col : cols) {
+      segments.push_back(std::make_shared<const ValueSegment>(
+          ValueSegment::FromValues(std::move(col))));
+    }
+    out.chunks.emplace_back(std::move(segments));
   }
   QUARRY_RETURN_NOT_OK(
       charge.Charge(static_cast<int64_t>(group_keys.size())));
   return out;
 }
 
+/// Surrogate keys in first-seen order: the first row of each distinct key
+/// gets the next id (1, 2, ...); a typed key's NULL (nullopt) is one key,
+/// exactly like SameAs treats NULLs. Each input chunk keeps its segments
+/// and selection and gains the id column.
+template <typename KeyFn>
+Result<Dataset> AssignSurrogateKeys(const Node& node, const ExecContext* ctx,
+                                    const Dataset& in,
+                                    const std::string& column,
+                                    const KeyFn& key_of) {
+  using Key = typename KeyFn::Type;
+  std::unordered_map<Key, int64_t, KeyHash<Key>, KeyEq<Key>> ids;
+  int64_t null_id = 0;  // 0 until a NULL key is seen.
+  int64_t last_id = 0;
+  Dataset out;
+  out.columns = in.columns;
+  out.columns.push_back(column);
+  OutputCharger charge(ctx, node.id, out.columns.size());
+  for (const Chunk& chunk : in.chunks) {
+    QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
+    CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
+    std::vector<Value> values(chunk.capacity());  // Dead slots stay NULL.
+    for (size_t i = 0; i < chunk.num_rows(); ++i) {
+      const uint32_t phys = chunk.PhysicalRow(i);
+      std::optional<Key> key = key_of(chunk, phys);
+      int64_t id;
+      if (!key.has_value()) {
+        if (null_id == 0) null_id = ++last_id;
+        id = null_id;
+      } else {
+        auto [it, inserted] = ids.try_emplace(std::move(*key), last_id + 1);
+        if (inserted) ++last_id;
+        id = it->second;
+      }
+      values[phys] = Value::Int(id);
+    }
+    std::vector<Chunk::SegmentPtr> segments = chunk.segments();
+    segments.push_back(std::make_shared<const ValueSegment>(
+        ValueSegment::FromValues(std::move(values))));
+    QUARRY_RETURN_NOT_OK(charge.Charge(static_cast<int64_t>(chunk.num_rows())));
+    out.chunks.emplace_back(std::move(segments), chunk.selection());
+  }
+  QUARRY_RETURN_NOT_OK(charge.Finish());
+  return out;
+}
+
+/// Stable sort: the sort key of every live row is read once, a permutation
+/// over (chunk, physical row) is stable-sorted on Value::Compare, and the
+/// output is gathered from the input segments in chunks of `chunk_size`
+/// rows.
+Result<Dataset> SortChunks(const Node& node, const ExecContext* ctx,
+                           const Dataset& in,
+                           const std::vector<size_t>& positions, bool desc,
+                           int64_t chunk_size) {
+  using SourceRef = ValueSegment::SourceRef;
+  std::vector<SourceRef> refs;
+  std::vector<Row> keys;
+  for (uint32_t c = 0; c < in.chunks.size(); ++c) {
+    const Chunk& chunk = in.chunks[c];
+    QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
+    CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
+    for (size_t i = 0; i < chunk.num_rows(); ++i) {
+      const uint32_t phys = chunk.PhysicalRow(i);
+      refs.push_back({c, phys});
+      keys.push_back(ChunkKey(chunk, positions, phys));
+    }
+  }
+  std::vector<uint32_t> order(refs.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    for (size_t k = 0; k < positions.size(); ++k) {
+      int cmp = keys[a][k].Compare(keys[b][k]);
+      if (cmp != 0) return desc ? cmp > 0 : cmp < 0;
+    }
+    return false;
+  });
+
+  std::vector<std::vector<const ValueSegment*>> sources(in.columns.size());
+  for (size_t col = 0; col < in.columns.size(); ++col) {
+    for (const Chunk& chunk : in.chunks) {
+      sources[col].push_back(&chunk.segment(col));
+    }
+  }
+  Dataset out;
+  out.columns = in.columns;
+  OutputCharger charge(ctx, node.id, out.columns.size());
+  const size_t step = static_cast<size_t>(std::max<int64_t>(1, chunk_size));
+  for (size_t begin = 0; begin < order.size(); begin += step) {
+    const size_t end = std::min(order.size(), begin + step);
+    std::vector<SourceRef> slice;
+    slice.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) slice.push_back(refs[order[i]]);
+    QUARRY_RETURN_NOT_OK(charge.Charge(static_cast<int64_t>(slice.size())));
+    if (in.columns.empty()) {
+      out.chunks.push_back(Chunk::Columnless(slice.size()));
+      continue;
+    }
+    std::vector<Chunk::SegmentPtr> segments;
+    segments.reserve(in.columns.size());
+    for (size_t col = 0; col < in.columns.size(); ++col) {
+      segments.push_back(std::make_shared<const ValueSegment>(
+          ValueSegment::GatherFrom(sources[col], slice)));
+    }
+    out.chunks.emplace_back(std::move(segments));
+  }
+  QUARRY_RETURN_NOT_OK(charge.Finish());
+  return out;
+}
+
+/// Passes `in`'s chunks through unchanged (their segments are shared), with
+/// the per-chunk gate and charge.
+Status ForwardChunks(const Node& node, const ExecContext* ctx,
+                     const Dataset& in, OutputCharger* charge, Dataset* out) {
+  for (const Chunk& chunk : in.chunks) {
+    QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
+    CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
+    QUARRY_RETURN_NOT_OK(
+        charge->Charge(static_cast<int64_t>(chunk.num_rows())));
+    out->chunks.push_back(chunk);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
-Result<Dataset> Executor::RunNodeVectorized(
-    const Node& node, const std::vector<const Dataset*>& inputs,
-    LoaderEffect* loader, const ExecContext* ctx, const ExecOptions& options) {
+Result<Dataset> Executor::RunNode(const Node& node,
+                                  const std::vector<const Dataset*>& inputs,
+                                  LoaderEffect* loader, const ExecContext* ctx,
+                                  const ExecOptions& options) {
+  QUARRY_FAULT_POINT(std::string("etl.exec.") + OpTypeToString(node.type));
   auto input = [&](size_t i) -> const Dataset& { return *inputs[i]; };
   switch (node.type) {
     case OpType::kDatastore: {
       QUARRY_ASSIGN_OR_RETURN(const storage::Table* table,
                               source_->GetTable(Param(node, "table")));
       Dataset out;
-      out.columnar = true;
       for (const storage::Column& c : table->schema().columns()) {
         out.columns.push_back(c.name);
       }
@@ -676,20 +899,10 @@ Result<Dataset> Executor::RunNodeVectorized(
       return out;
     }
     case OpType::kExtraction: {
-      const Dataset& in = input(0);
       Dataset out;
-      out.columnar = true;
-      out.columns = in.columns;
-      std::vector<Chunk> scratch;
+      out.columns = input(0).columns;
       OutputCharger charge(ctx, node.id, out.columns.size());
-      for (const Chunk& chunk :
-           DatasetChunks(in, options.chunk_size, &scratch)) {
-        QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
-        CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
-        QUARRY_RETURN_NOT_OK(
-            charge.Charge(static_cast<int64_t>(chunk.num_rows())));
-        out.chunks.push_back(chunk);  // Shares the immutable segments.
-      }
+      QUARRY_RETURN_NOT_OK(ForwardChunks(node, ctx, input(0), &charge, &out));
       QUARRY_RETURN_NOT_OK(charge.Finish());
       return out;
     }
@@ -698,14 +911,11 @@ Result<Dataset> Executor::RunNodeVectorized(
                               ParseExpr(Param(node, "predicate")));
       const Dataset& in = input(0);
       Dataset out;
-      out.columnar = true;
       out.columns = in.columns;
       ChunkEval eval(in.columns);
       std::optional<FastCompare> fast = TryFastCompare(*pred, in.columns);
-      std::vector<Chunk> scratch;
       OutputCharger charge(ctx, node.id, out.columns.size());
-      for (const Chunk& chunk :
-           DatasetChunks(in, options.chunk_size, &scratch)) {
+      for (const Chunk& chunk : in.chunks) {
         QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
         CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
         std::vector<uint32_t> sel;
@@ -724,9 +934,8 @@ Result<Dataset> Executor::RunNodeVectorized(
         if (sel.size() == chunk.num_rows()) {
           out.chunks.push_back(chunk);  // Nothing filtered: reuse as-is.
         } else {
-          out.chunks.emplace_back(
-              chunk.segments(),
-              std::make_shared<const std::vector<uint32_t>>(std::move(sel)));
+          out.chunks.push_back(chunk.WithSelection(
+              std::make_shared<const std::vector<uint32_t>>(std::move(sel))));
         }
       }
       QUARRY_RETURN_NOT_OK(charge.Finish());
@@ -739,19 +948,15 @@ Result<Dataset> Executor::RunNodeVectorized(
                               ColumnPositions(in.columns, keep, node.id));
       Dataset out;
       out.columns = keep;
-      out.columnar = !positions.empty();
-      std::vector<Chunk> scratch;
       OutputCharger charge(ctx, node.id, out.columns.size());
-      for (const Chunk& chunk :
-           DatasetChunks(in, options.chunk_size, &scratch)) {
+      for (const Chunk& chunk : in.chunks) {
         QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
         CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
         QUARRY_RETURN_NOT_OK(
             charge.Charge(static_cast<int64_t>(chunk.num_rows())));
         if (positions.empty()) {
-          // Zero-column projection: a chunk cannot carry rows without
-          // segments, so emit empty Rows like the row path does.
-          out.rows.resize(out.rows.size() + chunk.num_rows());
+          out.chunks.push_back(
+              Chunk::Columnless(chunk.capacity(), chunk.selection()));
           continue;
         }
         std::vector<Chunk::SegmentPtr> segments;
@@ -771,19 +976,15 @@ Result<Dataset> Executor::RunNodeVectorized(
       }
       const Dataset& in = input(0);
       Dataset out;
-      out.columnar = true;
       out.columns = in.columns;
       out.columns.push_back(column);
       ChunkEval eval(in.columns);
-      std::vector<Chunk> scratch;
       OutputCharger charge(ctx, node.id, out.columns.size());
-      for (const Chunk& chunk :
-           DatasetChunks(in, options.chunk_size, &scratch)) {
+      for (const Chunk& chunk : in.chunks) {
         QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
         CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
         // Dead (filtered-out) slots stay NULL and are never evaluated, so
-        // an expression that would error on a filtered row doesn't — same
-        // as the row path, which never sees that row at all.
+        // an expression that would error on a filtered row doesn't.
         std::vector<Value> values(chunk.capacity());
         for (size_t i = 0; i < chunk.num_rows(); ++i) {
           const uint32_t phys = chunk.PhysicalRow(i);
@@ -825,18 +1026,12 @@ Result<Dataset> Executor::RunNodeVectorized(
       QUARRY_ASSIGN_OR_RETURN(
           auto right_pos,
           ColumnPositions(right.columns, right_keys, node.id));
-
-      std::vector<Chunk> left_scratch, right_scratch;
-      const std::vector<Chunk>& left_chunks =
-          DatasetChunks(left, options.chunk_size, &left_scratch);
-      const std::vector<Chunk>& right_chunks =
-          DatasetChunks(right, options.chunk_size, &right_scratch);
       // Keys: [0] probes the left input, [1] builds on the right one.
       return WithKeys(
-          node, {{&left_chunks, &left_pos}, {&right_chunks, &right_pos}},
+          node, {{&left.chunks, &left_pos}, {&right.chunks, &right_pos}},
           /*null_is_absent=*/true, [&](const auto& keys) {
-            return HashJoin(node, ctx, left, left_chunks, right, right_chunks,
-                            join_type == "left", keys[0], keys[1]);
+            return HashJoin(node, ctx, left, right, join_type == "left",
+                            keys[0], keys[1]);
           });
     }
     case OpType::kAggregation: {
@@ -852,15 +1047,55 @@ Result<Dataset> Executor::RunNodeVectorized(
             auto pos, ColumnPositions(in.columns, {specs[i].input}, node.id));
         agg_pos[i] = static_cast<int>(pos[0]);
       }
-
-      std::vector<Chunk> scratch;
-      const std::vector<Chunk>& chunks =
-          DatasetChunks(in, options.chunk_size, &scratch);
-      return WithKeys(node, {{&chunks, &group_pos}},
+      return WithKeys(node, {{&in.chunks, &group_pos}},
                       /*null_is_absent=*/false, [&](const auto& keys) {
-                        return HashAggregate(node, ctx, chunks, group,
+                        return HashAggregate(node, ctx, in.chunks, group,
                                              group_pos, specs, agg_pos,
                                              keys[0]);
+                      });
+    }
+    case OpType::kSort: {
+      const Dataset& in = input(0);
+      std::vector<std::string> by = SplitNonEmpty(Param(node, "by"));
+      QUARRY_ASSIGN_OR_RETURN(auto positions,
+                              ColumnPositions(in.columns, by, node.id));
+      return SortChunks(node, ctx, in, positions,
+                        Param(node, "desc") == "true", options.chunk_size);
+    }
+    case OpType::kUnion: {
+      if (inputs.size() < 2) {
+        return Status::ExecutionError("union '" + node.id +
+                                      "' needs >= 2 inputs");
+      }
+      Dataset out;
+      out.columns = input(0).columns;
+      for (const Dataset* in : inputs) {
+        if (in->columns != out.columns) {
+          return Status::ExecutionError("union '" + node.id +
+                                        "' inputs have different schemas");
+        }
+      }
+      OutputCharger charge(ctx, node.id, out.columns.size());
+      for (const Dataset* in : inputs) {
+        QUARRY_RETURN_NOT_OK(ForwardChunks(node, ctx, *in, &charge, &out));
+      }
+      QUARRY_RETURN_NOT_OK(charge.Finish());
+      return out;
+    }
+    case OpType::kSurrogateKey: {
+      const Dataset& in = input(0);
+      std::vector<std::string> keys = SplitNonEmpty(Param(node, "keys"));
+      std::string column = Param(node, "column");
+      if (column.empty() || keys.empty()) {
+        return Status::ExecutionError("surrogate key '" + node.id +
+                                      "' needs column and keys params");
+      }
+      QUARRY_ASSIGN_OR_RETURN(auto positions,
+                              ColumnPositions(in.columns, keys, node.id));
+      return WithKeys(node, {{&in.chunks, &positions}},
+                      /*null_is_absent=*/false, [&](const auto& key_fns) {
+                        return AssignSurrogateKeys(node, ctx, in, column,
+                                                   key_fns[0]);
                       });
     }
     case OpType::kLoader: {
@@ -871,9 +1106,7 @@ Result<Dataset> Executor::RunNodeVectorized(
                                       "' lacks a table param");
       }
       std::vector<std::string> keys = SplitNonEmpty(Param(node, "keys"));
-      std::vector<Chunk> scratch;
-      const std::vector<Chunk>& chunks =
-          DatasetChunks(data, options.chunk_size, &scratch);
+      const std::vector<Chunk>& chunks = data.chunks;
       int64_t total_rows = 0;
       for (const Chunk& c : chunks) {
         total_rows += static_cast<int64_t>(c.num_rows());
@@ -883,8 +1116,11 @@ Result<Dataset> Executor::RunNodeVectorized(
         return ctx->ChargeRows(rows, "node '" + node.id + "'");
       };
       if (!target_->HasTable(table_name) && total_rows == 0) {
-        // No rows and no pre-created table: defer creation, exactly like
-        // the row kernel (see executor.cc for the rationale).
+        // No rows and no pre-created table: defer creation (column types
+        // cannot be inferred from an empty dataset; guessing would poison
+        // later loads into the same table). Deployed designs always
+        // pre-create their tables via DDL, so this only affects ad-hoc
+        // runs.
         QUARRY_RETURN_NOT_OK(charge_rows(0));
         loader->table = table_name;
         loader->fired = true;  // rows stays 0
@@ -896,7 +1132,7 @@ Result<Dataset> Executor::RunNodeVectorized(
         storage::TableSchema schema(table_name);
         for (size_t c = 0; c < data.columns.size(); ++c) {
           QUARRY_ASSIGN_OR_RETURN(DataType type,
-                                  InferColumnTypeChunks(chunks, c));
+                                  InferColumnType(chunks, c));
           QUARRY_RETURN_NOT_OK(
               schema.AddColumn({data.columns[c], type, true}));
         }
@@ -911,7 +1147,7 @@ Result<Dataset> Executor::RunNodeVectorized(
           continue;
         }
         QUARRY_ASSIGN_OR_RETURN(DataType type,
-                                InferColumnTypeChunks(chunks, c));
+                                InferColumnType(chunks, c));
         QUARRY_RETURN_NOT_OK(
             table->AddColumn({data.columns[c], type, true}));
       }
@@ -989,13 +1225,14 @@ Result<Dataset> Executor::RunNodeVectorized(
           ++written;
         }
         // Loaders charge their input (they are sinks): one charge per
-        // chunk written, summing to the row path's rows_in charge.
+        // chunk written, summing to the node's rows_in.
         QUARRY_RETURN_NOT_OK(
             charge_rows(static_cast<int64_t>(chunk.num_rows())));
       }
       if (chunks.empty()) QUARRY_RETURN_NOT_OK(charge_rows(0));
-      // Same mid-write fault site and cadence as the row kernel: fires
-      // after all rows landed, before the effect is reported.
+      // Mid-write fault site: fires after the rows above landed in the
+      // target, leaving exactly the half-written state the loader snapshot
+      // in ExecuteNode must roll back before a retry.
       QUARRY_FAULT_POINT("etl.exec.Loader.write");
       loader->table = table_name;
       loader->rows = written;
@@ -1004,12 +1241,8 @@ Result<Dataset> Executor::RunNodeVectorized(
       out.columns = data.columns;
       return out;  // Loaders are sinks; emit an empty dataset.
     }
-    case OpType::kSort:
-    case OpType::kUnion:
-    case OpType::kSurrogateKey:
-      break;  // No chunk kernel; the dispatcher never sends these here.
   }
-  return Status::Internal("operator type has no vectorized kernel");
+  return Status::Internal("unknown operator type");
 }
 
 }  // namespace quarry::etl

@@ -86,9 +86,9 @@ class Expr {
 /// Parses the grammar above.
 Result<Expr::Ptr> ParseExpr(std::string_view text);
 
-/// Scalar evaluation primitives shared by Expr::Eval and the vectorized
-/// chunk kernels (etl/exec/vectorized.cc) — both modes must agree
-/// bit-for-bit for the differential harness to hold.
+/// Scalar evaluation primitives shared by Expr::Eval and the ETL chunk
+/// kernels' evaluator (etl/exec/vectorized.cc), so the two agree
+/// bit-for-bit.
 
 /// Two-valued truthiness used by AND/OR/NOT and Selection predicates:
 /// only a non-NULL boolean TRUE counts.

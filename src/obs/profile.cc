@@ -40,7 +40,6 @@ void NodeToText(const ProfileNode& node, int depth, std::string* out) {
   *out += "  rows_in=" + std::to_string(node.rows_in);
   *out += " rows_out=" + std::to_string(node.rows_out);
   *out += " wall=" + FormatMicros(node.wall_micros) + "us";
-  if (!node.kernel.empty()) *out += " kernel=" + node.kernel;
   if (node.attempts > 1) *out += " attempts=" + std::to_string(node.attempts);
   *out += "\n";
   for (const ProfileNode& child : node.children) {
@@ -57,9 +56,6 @@ void NodeToJson(const ProfileNode& node, std::string* out) {
   *out += ",\"rows_out\":" + std::to_string(node.rows_out);
   *out += ",\"wall_micros\":" + FormatMicros(node.wall_micros);
   *out += ",\"attempts\":" + std::to_string(node.attempts);
-  *out += ",\"kernel\":\"";
-  JsonEscape(node.kernel, out);
-  *out += "\"";
   *out += ",\"children\":[";
   for (size_t i = 0; i < node.children.size(); ++i) {
     if (i > 0) *out += ",";

@@ -21,9 +21,6 @@ struct ProfileNode {
   int64_t rows_out = 0;
   double wall_micros = 0.0;
   int attempts = 1;    ///< >1 when the node was retried after a fault.
-  /// Kernel that ran the node: "chunk" (vectorized) or "row"; empty when
-  /// the node never ran.
-  std::string kernel;
   std::vector<ProfileNode> children;  ///< Inputs of this node.
 };
 

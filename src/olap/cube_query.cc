@@ -184,14 +184,13 @@ Result<etl::Dataset> CubeQueryEngine::Execute(const CubeQuery& query,
   QUARRY_ASSIGN_OR_RETURN(Flow flow, Compile(query));
   // No Loader, so no target: the executor hands back q_agg's dataset.
   // (Flow::Validate requires loader sinks and is never called on query
-  // plans.) Every plan operator has a chunk kernel. Fail fast, no retries:
-  // an interactive query surfaces an operator fault instead of hiding
-  // latency in backoff sleeps; lifecycle errors are never retried anyway.
+  // plans.) Fail fast, no retries: an interactive query surfaces an
+  // operator fault instead of hiding latency in backoff sleeps; lifecycle
+  // errors are never retried anyway.
   etl::Executor executor(warehouse_, /*target=*/nullptr);
   etl::Dataset answer;
   Result<etl::ExecutionReport> run = executor.Run(
-      flow, etl::ExecOptions{.max_workers = 1, .vectorized = true},
-      etl::RetryPolicy{}, nullptr, ctx, &answer);
+      flow, etl::ExecOptions{}, etl::RetryPolicy{}, nullptr, ctx, &answer);
   if (profile != nullptr) {
     // Move, don't copy (run keeps its status for the check below). A
     // failed run leaves the report empty, which still yields the full plan

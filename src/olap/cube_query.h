@@ -50,9 +50,8 @@ struct QueryProfile {
 /// Datastore/Function/Projection/Join/Selection/Aggregation nodes over the
 /// deployed tables (fact joined with the dimension tables providing the
 /// requested attributes) that ends at the aggregation "q_agg" — there is no
-/// Loader and no scratch table. etl::Executor runs it on the vectorized
-/// chunk kernels (every plan operator has one) and hands back q_agg's
-/// dataset. This exercises exactly the OLAP-style access path the paper's
+/// Loader and no scratch table. etl::Executor runs it on its chunk
+/// kernels and hands back q_agg's dataset. This exercises exactly the OLAP-style access path the paper's
 /// deployment scenario demonstrates.
 class CubeQueryEngine {
  public:
@@ -64,12 +63,12 @@ class CubeQueryEngine {
                   const storage::Database* warehouse)
       : schema_(schema), mapping_(mapping), warehouse_(warehouse) {}
 
-  /// Runs the query on the chunk kernels (ExecOptions{.max_workers = 1,
-  /// .vectorized = true}, regardless of QuarryConfig::etl_exec, which
-  /// governs deploys and refreshes). The result is a row-form in-memory
-  /// dataset (`rows` filled, `columnar` false): group columns in request
-  /// order, then aggregates, materialized once from q_agg's chunks; an
-  /// empty answer has the columns and no rows. `ctx` (nullable) carries
+  /// Runs the query serially at the default chunk size (ExecOptions{},
+  /// regardless of QuarryConfig::etl_exec, which governs deploys and
+  /// refreshes). The answer is handed on as rows (`rows` filled, no
+  /// chunks): group columns in request order, then aggregates,
+  /// materialized once from q_agg's chunks; an empty answer has the
+  /// columns and no rows. `ctx` (nullable) carries
   /// the request's cancellation token / deadline / budgets into the
   /// executing flow exactly like every ETL run does (docs/ROBUSTNESS.md
   /// §7): each operator pre-checks it, every chunk re-checks it, and a

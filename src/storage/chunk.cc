@@ -267,6 +267,7 @@ void Chunk::AppendRowsTo(std::vector<Row>* out) const {
 
 Chunk MakeChunk(const std::vector<Row>& rows, size_t num_columns,
                 size_t begin, size_t end) {
+  if (num_columns == 0) return Chunk::Columnless(end - begin);
   std::vector<Chunk::SegmentPtr> segments;
   segments.reserve(num_columns);
   for (size_t c = 0; c < num_columns; ++c) {

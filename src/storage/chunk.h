@@ -10,8 +10,8 @@
 
 namespace quarry::storage {
 
-/// \brief A typed, immutable column slice: the unit of vectorized execution
-/// (DESIGN.md §8).
+/// \brief A typed, immutable column slice: the unit of the ETL runtime's
+/// chunk execution (DESIGN.md §8).
 ///
 /// A segment stores one column's values for a contiguous run of rows. When
 /// every non-NULL value shares one runtime type the payload is a plain
@@ -19,9 +19,8 @@ namespace quarry::storage {
 /// mask; columns that genuinely mix types — e.g. a SUM output whose groups
 /// split between INT and DOUBLE — fall back to a `std::vector<Value>`
 /// (Rep::kMixed). Either way `At(i)` reconstructs the original Value
-/// exactly, including NULLs, so row-at-a-time and chunked execution produce
-/// byte-identical tables (the three-way differential harness depends on
-/// this round-trip).
+/// exactly, including NULLs, so no chunk size changes a byte of a loaded
+/// table (the golden-corpus tests depend on this round-trip).
 class ValueSegment {
  public:
   enum class Rep { kBool, kInt64, kDouble, kString, kDate, kMixed };
@@ -94,7 +93,9 @@ class ValueSegment {
 /// selection just attaches a position list — neither touches the data.
 /// `num_rows()` counts *live* rows (selection applied); `capacity()` is the
 /// physical segment length. Live row `i` maps to physical row
-/// `PhysicalRow(i)`; with no selection the mapping is the identity.
+/// `PhysicalRow(i)`; with no selection the mapping is the identity. A chunk
+/// without segments keeps an explicit physical row count (Columnless), so
+/// a projection onto no columns still carries its rows.
 class Chunk {
  public:
   using SegmentPtr = std::shared_ptr<const ValueSegment>;
@@ -103,12 +104,26 @@ class Chunk {
   Chunk() = default;
   explicit Chunk(std::vector<SegmentPtr> segments,
                  SelectionPtr selection = nullptr)
-      : segments_(std::move(segments)), selection_(std::move(selection)) {}
+      : segments_(std::move(segments)),
+        selection_(std::move(selection)),
+        capacity_(segments_.empty() ? 0 : segments_[0]->size()) {}
+
+  /// `rows` physical rows over zero columns.
+  static Chunk Columnless(size_t rows, SelectionPtr selection = nullptr) {
+    Chunk chunk({}, std::move(selection));
+    chunk.capacity_ = rows;
+    return chunk;
+  }
+
+  /// The same segments and physical rows under `selection`.
+  Chunk WithSelection(SelectionPtr selection) const {
+    Chunk chunk = *this;
+    chunk.selection_ = std::move(selection);
+    return chunk;
+  }
 
   size_t num_columns() const { return segments_.size(); }
-  size_t capacity() const {
-    return segments_.empty() ? 0 : segments_[0]->size();
-  }
+  size_t capacity() const { return capacity_; }
   size_t num_rows() const {
     return selection_ != nullptr ? selection_->size() : capacity();
   }
@@ -135,6 +150,7 @@ class Chunk {
  private:
   std::vector<SegmentPtr> segments_;
   SelectionPtr selection_;
+  size_t capacity_ = 0;
 };
 
 /// One chunk over columns [0, num_columns) of rows [begin, end).

@@ -44,7 +44,7 @@ class Table {
   /// Columnar scan: the table's rows sliced into typed chunks of at most
   /// `chunk_size` rows each (storage/chunk.h). The chunks snapshot the
   /// current contents — later mutations don't show through. Feeds the
-  /// vectorized ETL runtime's Datastore kernel (DESIGN.md §8).
+  /// ETL runtime's Datastore kernel (DESIGN.md §8).
   std::vector<Chunk> ScanChunks(int64_t chunk_size) const;
 
   /// Validates and appends a row.

@@ -355,6 +355,35 @@ TEST(ExecutorTest, ErrorsCarryNodeContext) {
   EXPECT_NE(out.status().message().find("sel"), std::string::npos);
 }
 
+// The kernels read only chunks, so a row-form intermediate in a checkpoint
+// would be dropped; Resume refuses it before any work.
+TEST(ExecutorTest, ResumeRefusesRowFormCheckpointDatasets) {
+  auto src = MakeTinySource();
+  Database target("dw");
+  Flow flow("t");
+  ASSERT_TRUE(
+      flow.AddNode(MakeNode("ds", OpType::kDatastore, {{"table", "sales"}}))
+          .ok());
+  ASSERT_TRUE(
+      flow.AddNode(MakeNode("load", OpType::kLoader, {{"table", "out"}}))
+          .ok());
+  ASSERT_TRUE(flow.AddEdge("ds", "load").ok());
+  Checkpoint checkpoint;
+  checkpoint.flow_name = "t";
+  checkpoint.valid = true;
+  checkpoint.completed = {"ds"};
+  Dataset rows_form;
+  rows_form.columns = {"id"};
+  rows_form.rows = {{Value::Int(1)}};
+  checkpoint.datasets["ds"] = rows_form;
+  Executor executor(src.get(), &target);
+  auto resumed = executor.Resume(flow, &checkpoint);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_TRUE(resumed.status().IsInvalidArgument()) << resumed.status();
+  EXPECT_NE(resumed.status().message().find("'ds'"), std::string::npos);
+  EXPECT_FALSE(target.HasTable("out"));
+}
+
 // --- equivalence rules -------------------------------------------------------
 
 TableColumns ColumnsOf(const Database& db) {

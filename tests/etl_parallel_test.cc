@@ -1,8 +1,10 @@
 // Differential tests for the wavefront scheduler (docs/ROBUSTNESS.md §8):
 // every flow must produce byte-identical target tables and equivalent
 // execution reports no matter how many workers run it, and the lifecycle /
-// fault-injection contracts of the serial executor must carry over. Runs
-// under TSan via tools/run_tsan.sh (ctest label `tsan`).
+// fault-injection contracts of the serial executor must carry over. The
+// GoldenCorpusTest suite holds every run to the frozen row-at-a-time
+// records of tests/golden_corpus.h at every chunk size (DESIGN.md §8).
+// Runs under TSan via tools/run_tsan.sh (ctest label `tsan`).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "common/fault_injection.h"
 #include "datagen/tpch.h"
 #include "etl_test_util.h"
+#include "golden_corpus.h"
 #include "interpreter/interpreter.h"
 #include "obs/metrics.h"
 #include "ontology/tpch_ontology.h"
@@ -27,22 +30,19 @@ namespace {
 
 using testutil::BuildRandomFlow;
 using testutil::BuildRandomSource;
-using testutil::DifferentialModes;
-using testutil::ExecMode;
 using testutil::MakeNode;
 using testutil::RunFlow;
 using testutil::RunFlowOpts;
 using testutil::RunOutcome;
 using testutil::StatsById;
-using testutil::ToOptions;
 
 const int kWorkerCounts[] = {2, 4, 8};
 
-/// Differential equivalence against the serial row reference: byte-identical
+/// Differential equivalence against the serial reference: byte-identical
 /// target fingerprint and order-free identical report (row counts per node,
 /// loaded tables, total attempts). Also asserts exactly-once execution: one
-/// NodeStats entry per flow node. `label` names the non-reference arm
-/// (worker count, vectorized mode, ...) in failure messages.
+/// NodeStats entry per flow node. `label` names the non-reference arm in
+/// failure messages.
 void ExpectEquivalent(const Flow& flow, const RunOutcome& serial,
                       const RunOutcome& other, const std::string& label) {
   ASSERT_TRUE(serial.status.ok()) << serial.status;
@@ -402,59 +402,36 @@ TEST(EtlParallelTest, SchedulerMetricsAreRecorded) {
 }
 
 // ---------------------------------------------------------------------------
-// Three-way differential harness (DESIGN.md §8): the serial row executor is
-// the reference; the parallel scheduler, the vectorized chunk runtime, and
-// vectorized-under-the-scheduler must all produce byte-identical target
-// fingerprints and order-free identical reports (per-node rows_in/rows_out,
-// attempts, loaded tables).
+// Golden corpus (tests/golden_corpus.h): every case, at chunk sizes 1, 7,
+// 1024 and rows+1 on 1 and 4 workers, must reproduce the frozen records of
+// the row-at-a-time reference — target fingerprint, rows_processed, rows
+// loaded per table, per-node rows_in/rows_out, and for the lifecycle cases
+// the error, the failed node and the rolled-back target.
 
-TEST(EtlVectorizedTest, ThreeWayRandomizedFlowsAgree) {
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    auto source = BuildRandomSource(seed);
-    Flow flow = BuildRandomFlow(seed);
-    ASSERT_TRUE(flow.Validate().ok()) << "seed " << seed;
-    RunOutcome serial = RunFlow(*source, flow, 1);
-    ASSERT_TRUE(serial.status.ok()) << "seed " << seed << ": "
-                                    << serial.status;
-    for (const ExecMode& mode : DifferentialModes()) {
-      RunOutcome outcome = RunFlowOpts(*source, flow, ToOptions(mode));
-      ExpectEquivalent(flow, serial, outcome,
-                       std::string("seed ") + std::to_string(seed) + " " +
-                           mode.name);
-    }
+using testutil::CorpusCase;
+
+void ExpectSweepMatchesGolden(const CorpusCase& c) {
+  for (const std::string& mismatch : testutil::SweepMismatches(c)) {
+    ADD_FAILURE() << mismatch;
   }
 }
 
-TEST(EtlVectorizedTest, ThreeWayTpchRevenueFlowAgrees) {
-  storage::Database src;
-  ASSERT_TRUE(datagen::PopulateTpch(&src, {0.005, 23}).ok());
-  ontology::Ontology onto = ontology::BuildTpchOntology();
-  ontology::SourceMapping mapping = ontology::BuildTpchMappings();
-  interpreter::Interpreter interp(&onto, &mapping);
-  req::InformationRequirement ir;
-  ir.id = "ir_revenue";
-  ir.name = "revenue";
-  ir.focus_concept = "Lineitem";
-  ir.measures.push_back(
-      {"revenue", "Lineitem.l_extendedprice * (1 - Lineitem.l_discount)",
-       md::AggFunc::kSum});
-  ir.dimensions.push_back({"Part.p_name"});
-  ir.dimensions.push_back({"Supplier.s_name"});
-  auto design = interp.Interpret(ir);
-  ASSERT_TRUE(design.ok()) << design.status();
-
-  RunOutcome serial = RunFlow(src, design->flow, 1);
-  ASSERT_TRUE(serial.status.ok()) << serial.status;
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Instance();
-  const int64_t chunks_before =
-      reg.counter("quarry_etl_chunk_rows_total").value();
-  for (const ExecMode& mode : DifferentialModes()) {
-    RunOutcome outcome = RunFlowOpts(src, design->flow, ToOptions(mode));
-    ExpectEquivalent(design->flow, serial, outcome, mode.name);
+TEST(GoldenCorpusTest, RandomFlowsMatchAtEveryChunkSizeAndWorkerCount) {
+  for (const CorpusCase& c : testutil::RandomCases(1, 20)) {
+    ASSERT_TRUE(c.flow.Validate().ok()) << c.name;
+    ExpectSweepMatchesGolden(c);
   }
-  // The vectorized arms actually went through the chunk kernels.
+}
+
+TEST(GoldenCorpusTest, TpchRevenueFlowMatches) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Instance();
+  const int64_t chunk_rows_before =
+      reg.counter("quarry_etl_chunk_rows_total").value();
+  CorpusCase c = testutil::TpchRevenueCase();
+  ASSERT_TRUE(c.flow.Validate().ok());
+  ExpectSweepMatchesGolden(c);
   EXPECT_GT(reg.counter("quarry_etl_chunk_rows_total").value(),
-            chunks_before);
+            chunk_rows_before);
 }
 
 // Typed single-column keys (DESIGN.md §8): joins and aggregations keyed on
@@ -462,54 +439,81 @@ TEST(EtlVectorizedTest, ThreeWayTpchRevenueFlowAgrees) {
 // zero payloads next to them, duplicate build keys and selection vectors
 // must not move a byte. An INT key joined to a DOUBLE key (3 = 3.0), a
 // DOUBLE group key and two-column keys stay on the generic path.
-TEST(EtlVectorizedTest, TypedKeyFlowsAgreeAcrossChunkSizesAndWorkers) {
+TEST(GoldenCorpusTest, TypedKeyFlowsMatch) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Instance();
   auto typed_runs = [&reg](const char* op) {
     return reg.counter("quarry_etl_chunk_typed_key_total", "", {{"op", op}})
         .value();
   };
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    auto source = testutil::BuildTypedKeySource(seed);
-    for (const Flow& flow : testutil::TypedKeyFlows()) {
-      ASSERT_TRUE(flow.Validate().ok()) << flow.name();
-      RunOutcome serial = RunFlow(*source, flow, 1);
-      ASSERT_TRUE(serial.status.ok()) << flow.name() << ": " << serial.status;
-      const bool typed = flow.name().rfind("typed_", 0) == 0;
-      const bool has_join = flow.name().find("_join_") != std::string::npos;
-      const int64_t joins_before = typed_runs("Join");
-      const int64_t aggs_before = typed_runs("Aggregation");
-      for (int64_t chunk_size :
-           {int64_t{1}, int64_t{7}, int64_t{1024},
-            static_cast<int64_t>(serial.report.rows_processed) + 1}) {
-        for (int workers : {1, 4}) {
-          ExecMode mode{"vectorized", workers, true, chunk_size};
-          RunOutcome outcome = RunFlowOpts(*source, flow, ToOptions(mode));
-          ExpectEquivalent(flow, serial, outcome,
-                           "seed " + std::to_string(seed) + " " +
-                               flow.name() + " chunk_size=" +
-                               std::to_string(chunk_size) +
-                               " workers=" + std::to_string(workers));
-        }
+  for (const CorpusCase& c : testutil::TypedKeyCases(1, 4)) {
+    ASSERT_TRUE(c.flow.Validate().ok()) << c.name;
+    const bool typed = c.flow.name().rfind("typed_", 0) == 0;
+    const bool has_join = c.flow.name().find("_join_") != std::string::npos;
+    const int64_t joins_before = typed_runs("Join");
+    const int64_t aggs_before = typed_runs("Aggregation");
+    ExpectSweepMatchesGolden(c);
+    const int64_t typed_joins = typed_runs("Join") - joins_before;
+    const int64_t typed_aggs = typed_runs("Aggregation") - aggs_before;
+    if (!typed) {
+      EXPECT_EQ(typed_joins, 0) << c.name;
+      if (!has_join) {
+        EXPECT_EQ(typed_aggs, 0) << c.name;
       }
-      const int64_t typed_joins = typed_runs("Join") - joins_before;
-      const int64_t typed_aggs = typed_runs("Aggregation") - aggs_before;
-      if (!typed) {
-        EXPECT_EQ(typed_joins, 0) << flow.name();
-        if (!has_join) EXPECT_EQ(typed_aggs, 0) << flow.name();
-      } else if (has_join) {
-        EXPECT_EQ(typed_joins, 8) << flow.name();  // One per sweep arm.
-      } else {
-        EXPECT_EQ(typed_aggs, 8) << flow.name();
-      }
+    } else if (has_join) {
+      EXPECT_EQ(typed_joins, 8) << c.name;  // One per sweep arm.
+    } else {
+      EXPECT_EQ(typed_aggs, 8) << c.name;
     }
   }
 }
 
+// A selection that empties everything downstream (aggregation over
+// nothing, a loader that must defer table creation), chained selections
+// composing selection vectors on singleton, partial and oversized chunks,
+// and a projection onto zero columns whose rows reach COUNT(*) and a
+// Loader.
+TEST(GoldenCorpusTest, StreamShapesMatch) {
+  for (const CorpusCase& c : testutil::ShapeCases()) {
+    ExpectSweepMatchesGolden(c);
+  }
+}
+
+TEST(GoldenCorpusTest, SortUnionAndSurrogateKeyMatch) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Instance();
+  const int64_t typed_before =
+      reg.counter("quarry_etl_chunk_typed_key_total", "",
+                  {{"op", "SurrogateKey"}})
+          .value();
+  for (const CorpusCase& c : testutil::OperatorCases(1, 4)) {
+    ASSERT_TRUE(c.flow.Validate().ok()) << c.name;
+    ExpectSweepMatchesGolden(c);
+  }
+  // skey_int/_date/_string and union_three hash typed keys; skey_double
+  // and skey_two_columns stay generic: 4 flows x 4 seeds x 8 arms.
+  EXPECT_EQ(reg.counter("quarry_etl_chunk_typed_key_total", "",
+                        {{"op", "SurrogateKey"}})
+                    .value() -
+                typed_before,
+            4 * 4 * 8);
+}
+
+// Cancellation and an expired deadline fail at the first node with the
+// frozen message; row budgets trip at the same node whatever the chunk
+// size, and a loader over budget rolls its table back.
+TEST(GoldenCorpusTest, LifecycleErrorsMatch) {
+  for (const CorpusCase& c : testutil::LifecycleCases()) {
+    ExpectSweepMatchesGolden(c);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Chunk-runtime contracts outside the corpus.
+
 // A flow that ends in an operator instead of a Loader (a cube query plan)
-// hands its answer back through Run's `sink` out-parameter, in every mode,
-// with the same rows; flows with no or several non-loader sinks are
-// refused before any work.
-TEST(EtlVectorizedTest, SinkDatasetIsHandedBackInEveryMode) {
+// hands its answer back through Run's `sink` out-parameter, with the same
+// rows at every chunk size and worker count; flows with no or several
+// non-loader sinks are refused before any work.
+TEST(EtlChunkRuntimeTest, SinkDatasetIsHandedBackAtEveryChunkSize) {
   auto source = testutil::BuildTypedKeySource(/*seed=*/3);
   Flow flow("sink");
   (void)flow.AddNode(MakeNode("f", OpType::kDatastore, {{"table", "facts"}}));
@@ -525,20 +529,24 @@ TEST(EtlVectorizedTest, SinkDatasetIsHandedBackInEveryMode) {
 
   Executor reference(source.get(), nullptr);
   Dataset want;
-  auto serial = reference.Run(flow, ExecOptions{}, RetryPolicy{}, nullptr,
-                              nullptr, &want);
+  auto serial = reference.Run(flow, ExecOptions{.chunk_size = 1},
+                              RetryPolicy{}, nullptr, nullptr, &want);
   ASSERT_TRUE(serial.ok()) << serial.status();
   EXPECT_EQ(want.columns, (std::vector<std::string>{"label", "sv", "n"}));
-  EXPECT_FALSE(want.rows.empty());
-  for (const ExecMode& mode : DifferentialModes()) {
-    Executor executor(source.get(), nullptr);
-    Dataset got;
-    auto run = executor.Run(flow, ToOptions(mode), RetryPolicy{}, nullptr,
-                            nullptr, &got);
-    ASSERT_TRUE(run.ok()) << mode.name << ": " << run.status();
-    EXPECT_EQ(got.columnar, mode.vectorized) << mode.name;
-    EXPECT_EQ(got.columns, want.columns) << mode.name;
-    EXPECT_EQ(got.MaterializeRows(), want.rows) << mode.name;
+  EXPECT_TRUE(want.rows.empty());  // The executor hands back chunks.
+  EXPECT_GT(want.row_count(), 0);
+  for (int64_t chunk_size : {7, 1024}) {
+    for (int workers : {1, 4}) {
+      Executor executor(source.get(), nullptr);
+      Dataset got;
+      auto run = executor.Run(
+          flow, ExecOptions{.max_workers = workers, .chunk_size = chunk_size},
+          RetryPolicy{}, nullptr, nullptr, &got);
+      ASSERT_TRUE(run.ok()) << run.status();
+      EXPECT_EQ(got.columns, want.columns);
+      EXPECT_EQ(got.MaterializeRows(), want.MaterializeRows())
+          << "chunk_size=" << chunk_size << " workers=" << workers;
+    }
   }
 
   Flow two_sinks = flow;
@@ -562,84 +570,8 @@ TEST(EtlVectorizedTest, SinkDatasetIsHandedBackInEveryMode) {
   }
 }
 
-TEST(EtlVectorizedTest, ChainedSelectionsCarrySelectionVectors) {
-  // Selection-on-selection composes a selection vector with an already
-  // filtered chunk — the carry-over path chunk sizes can't hide: at
-  // chunk_size 1 every chunk is a singleton, at 7 the last chunk of each
-  // run is partial, at 4096 one chunk covers the whole table.
-  auto source = BuildRandomSource(/*seed=*/37);
-  Flow flow("chained_sel");
-  (void)flow.AddNode(
-      MakeNode("ds", OpType::kDatastore, {{"table", "src0"}}));
-  (void)flow.AddNode(
-      MakeNode("ex", OpType::kExtraction, {{"table", "src0"}}));
-  (void)flow.AddNode(
-      MakeNode("s1", OpType::kSelection, {{"predicate", "v >= 10"}}));
-  (void)flow.AddNode(
-      MakeNode("s2", OpType::kSelection, {{"predicate", "v < 40"}}));
-  (void)flow.AddNode(
-      MakeNode("s3", OpType::kSelection, {{"predicate", "id >= 2"}}));
-  (void)flow.AddNode(MakeNode(
-      "fn", OpType::kFunction, {{"column", "f"}, {"expr", "v * 2 + 1"}}));
-  (void)flow.AddNode(
-      MakeNode("proj", OpType::kProjection, {{"columns", "id,f,s"}}));
-  (void)flow.AddNode(
-      MakeNode("load", OpType::kLoader, {{"table", "out"}}));
-  (void)flow.AddEdge("ds", "ex");
-  (void)flow.AddEdge("ex", "s1");
-  (void)flow.AddEdge("s1", "s2");
-  (void)flow.AddEdge("s2", "s3");
-  (void)flow.AddEdge("s3", "fn");
-  (void)flow.AddEdge("fn", "proj");
-  (void)flow.AddEdge("proj", "load");
-  ASSERT_TRUE(flow.Validate().ok());
-
-  RunOutcome serial = RunFlow(*source, flow, 1);
-  for (int64_t chunk_size : {1, 7, 1024, 4096}) {
-    ExecMode mode{"vectorized", 1, true, chunk_size};
-    RunOutcome outcome = RunFlowOpts(*source, flow, ToOptions(mode));
-    ExpectEquivalent(flow, serial, outcome,
-                     "vectorized chunk_size=" +
-                         std::to_string(chunk_size));
-  }
-}
-
-TEST(EtlVectorizedTest, EmptyStreamsMatchRowPath) {
-  // A selection that drops every row empties the whole downstream —
-  // aggregation over nothing, a loader that must defer table creation
-  // exactly like the row path does.
-  auto source = BuildRandomSource(/*seed=*/41);
-  Flow flow("empty_stream");
-  (void)flow.AddNode(
-      MakeNode("ds", OpType::kDatastore, {{"table", "src0"}}));
-  (void)flow.AddNode(
-      MakeNode("ex", OpType::kExtraction, {{"table", "src0"}}));
-  (void)flow.AddNode(
-      MakeNode("sel", OpType::kSelection, {{"predicate", "v < -1"}}));
-  (void)flow.AddNode(MakeNode(
-      "agg", OpType::kAggregation,
-      {{"group", "id"}, {"aggs", "SUM(v) AS total"}}));
-  (void)flow.AddNode(
-      MakeNode("load_rows", OpType::kLoader, {{"table", "out_rows"}}));
-  (void)flow.AddNode(
-      MakeNode("load_agg", OpType::kLoader, {{"table", "out_agg"}}));
-  (void)flow.AddEdge("ds", "ex");
-  (void)flow.AddEdge("ex", "sel");
-  (void)flow.AddEdge("sel", "agg");
-  (void)flow.AddEdge("sel", "load_rows");
-  (void)flow.AddEdge("agg", "load_agg");
-  ASSERT_TRUE(flow.Validate().ok());
-
-  RunOutcome serial = RunFlow(*source, flow, 1);
-  ASSERT_TRUE(serial.status.ok()) << serial.status;
-  for (const ExecMode& mode : DifferentialModes()) {
-    RunOutcome outcome = RunFlowOpts(*source, flow, ToOptions(mode));
-    ExpectEquivalent(flow, serial, outcome, mode.name);
-  }
-}
-
-TEST(EtlVectorizedTest, VectorizedBudgetTripChargesAtChunkGranularity) {
-  // The chunk kernels charge the budget per chunk, so a row allowance trips
+TEST(EtlChunkRuntimeTest, BudgetTripChargesAtChunkGranularity) {
+  // The kernels charge the budget per chunk, so a row allowance trips
   // mid-node instead of after a whole materialization; the checkpoint is
   // still a resumable node-boundary antichain.
   auto source = BuildRandomSource(/*seed=*/43);
@@ -654,7 +586,6 @@ TEST(EtlVectorizedTest, VectorizedBudgetTripChargesAtChunkGranularity) {
   storage::Database target("dw");
   Executor executor(&(*source), &target);
   ExecOptions options;
-  options.vectorized = true;
   options.chunk_size = 4;  // several chunks per node at 10-row allowance
   auto report = executor.Run(flow, options, RetryPolicy{}, &checkpoint, &ctx);
   ASSERT_FALSE(report.ok());
@@ -667,77 +598,42 @@ TEST(EtlVectorizedTest, VectorizedBudgetTripChargesAtChunkGranularity) {
   EXPECT_EQ(target.Fingerprint(), serial.fingerprint);
 }
 
-TEST(EtlVectorizedTest, RowModeResumesVectorizedCheckpoint) {
-  // Cross-mode resume, vectorized -> row: a budget-killed vectorized run
-  // checkpoints columnar datasets; the row executor must consume them.
+TEST(EtlChunkRuntimeTest, CheckpointResumesAtAnotherChunkSizeAndWorkerCount) {
+  // A checkpoint holds chunked datasets cut at the killed run's chunk size;
+  // a resume at any other chunk size or worker count consumes them and
+  // reaches the reference fingerprint.
   auto source = BuildRandomSource(/*seed=*/47);
   Flow flow = BuildWideFlow(5);
-  RunOutcome serial = RunFlow(*source, flow, 1);
-  ASSERT_TRUE(serial.status.ok()) << serial.status;
+  RunOutcome reference =
+      RunFlowOpts(*source, flow, ExecOptions{.chunk_size = 1});
+  ASSERT_TRUE(reference.status.ok()) << reference.status;
 
-  ResourceBudget budget;
-  budget.max_rows_materialized = 10;
-  ExecContext ctx(CancellationToken{}, Deadline::Infinite(), budget);
-  Checkpoint checkpoint;
-  storage::Database target("dw");
-  Executor executor(&(*source), &target);
-  ExecOptions vec_options;
-  vec_options.vectorized = true;
-  vec_options.chunk_size = 8;
-  auto killed =
-      executor.Run(flow, vec_options, RetryPolicy{}, &checkpoint, &ctx);
-  ASSERT_FALSE(killed.ok());
-  ASSERT_TRUE(checkpoint.valid);
-
-  ExecOptions row_options;  // vectorized off: plain serial row executor
-  auto resumed =
-      executor.Resume(flow, row_options, &checkpoint, RetryPolicy{});
-  ASSERT_TRUE(resumed.ok()) << resumed.status();
-  EXPECT_EQ(target.Fingerprint(), serial.fingerprint);
-}
-
-TEST(EtlVectorizedTest, VectorizedModeResumesRowCheckpoint) {
-  // Cross-mode resume, row -> vectorized: the chunk kernels must accept
-  // row-form checkpointed datasets (DatasetChunks re-chunks them).
-  auto source = BuildRandomSource(/*seed=*/53);
-  Flow flow = BuildWideFlow(5);
-  RunOutcome serial = RunFlow(*source, flow, 1);
-  ASSERT_TRUE(serial.status.ok()) << serial.status;
-
-  ResourceBudget budget;
-  budget.max_rows_materialized = 10;
-  ExecContext ctx(CancellationToken{}, Deadline::Infinite(), budget);
-  Checkpoint checkpoint;
-  storage::Database target("dw");
-  Executor executor(&(*source), &target);
-  auto killed =
-      executor.Run(flow, ExecOptions{}, RetryPolicy{}, &checkpoint, &ctx);
-  ASSERT_FALSE(killed.ok());
-  ASSERT_TRUE(checkpoint.valid);
-
-  ExecOptions vec_options;
-  vec_options.vectorized = true;
-  vec_options.chunk_size = 16;
-  auto resumed =
-      executor.Resume(flow, vec_options, &checkpoint, RetryPolicy{});
-  ASSERT_TRUE(resumed.ok()) << resumed.status();
-  EXPECT_EQ(target.Fingerprint(), serial.fingerprint);
-}
-
-TEST(EtlVectorizedTest, VectorizedLifecycleErrorsMatchRowPath) {
-  // Deadline/cancellation surface with the same node-tagged messages in
-  // both modes: the chunk gate reuses the row path's context-check wording.
-  auto source = BuildRandomSource(/*seed=*/59);
-  Flow flow = BuildWideFlow(4);
-  ExecContext ctx(Deadline::After(0.0));
-  ExecOptions options;
-  options.vectorized = true;
-  RunOutcome outcome =
-      RunFlowOpts(*source, flow, options, RetryPolicy{}, nullptr, &ctx);
-  ASSERT_FALSE(outcome.status.ok());
-  EXPECT_TRUE(outcome.status.IsDeadlineExceeded()) << outcome.status;
-  EXPECT_NE(outcome.status.ToString().find("node '"), std::string::npos)
-      << outcome.status;
+  struct Arm {
+    ExecOptions killed;
+    ExecOptions resumed;
+  };
+  for (const Arm& arm :
+       {Arm{{.max_workers = 1, .chunk_size = 8},
+            {.max_workers = 4, .chunk_size = 1}},
+        Arm{{.max_workers = 4, .chunk_size = 1},
+            {.max_workers = 1, .chunk_size = 16}}}) {
+    ResourceBudget budget;
+    budget.max_rows_materialized = 10;
+    ExecContext ctx(CancellationToken{}, Deadline::Infinite(), budget);
+    Checkpoint checkpoint;
+    storage::Database target("dw");
+    Executor executor(&(*source), &target);
+    auto killed =
+        executor.Run(flow, arm.killed, RetryPolicy{}, &checkpoint, &ctx);
+    ASSERT_FALSE(killed.ok());
+    ASSERT_TRUE(checkpoint.valid);
+    auto resumed =
+        executor.Resume(flow, arm.resumed, &checkpoint, RetryPolicy{});
+    ASSERT_TRUE(resumed.ok()) << resumed.status();
+    EXPECT_EQ(target.Fingerprint(), reference.fingerprint)
+        << "killed at chunk_size=" << arm.killed.chunk_size
+        << " workers=" << arm.killed.max_workers;
+  }
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 #ifndef QUARRY_TESTS_ETL_TEST_UTIL_H_
 #define QUARRY_TESTS_ETL_TEST_UTIL_H_
 
-// Shared helpers for the parallel-executor differential tests
-// (etl_parallel_test.cc) and the scheduler property tests
-// (property_test.cc): a seeded random flow generator over a seeded random
-// source database, and a runner that executes one flow serially and with N
-// workers and hands back everything the comparisons need.
+// Shared helpers for the executor differential tests (etl_parallel_test.cc),
+// the property tests (property_test.cc) and the golden corpus
+// (golden_corpus.h): seeded random and typed-key flow generators over
+// seeded source databases, and a runner that executes one flow and hands
+// back everything the comparisons need.
 
 #include <algorithm>
 #include <cstdint>
@@ -378,10 +378,9 @@ struct RunOutcome {
   ExecutionReport report;
 };
 
-/// Runs `flow` against a fresh target with full control over ExecOptions —
-/// the three-way differential harness drives worker count AND the
-/// vectorized chunk runtime through this. The retry/checkpoint/ctx knobs
-/// mirror Executor::Run's.
+/// Runs `flow` against a fresh target with full control over ExecOptions
+/// (worker count and chunk size). The retry/checkpoint/ctx knobs mirror
+/// Executor::Run's.
 inline RunOutcome RunFlowOpts(const storage::Database& source,
                               const Flow& flow, const ExecOptions& options,
                               const RetryPolicy& retry = {},
@@ -406,31 +405,6 @@ inline RunOutcome RunFlow(const storage::Database& source, const Flow& flow,
   ExecOptions options;
   options.max_workers = workers;
   return RunFlowOpts(source, flow, options, retry, checkpoint, ctx);
-}
-
-/// One executor configuration in the three-way differential matrix.
-struct ExecMode {
-  const char* name;
-  int workers;
-  bool vectorized;
-  int64_t chunk_size = 1024;
-};
-
-inline ExecOptions ToOptions(const ExecMode& mode) {
-  ExecOptions options;
-  options.max_workers = mode.workers;
-  options.vectorized = mode.vectorized;
-  options.chunk_size = mode.chunk_size;
-  return options;
-}
-
-/// The non-serial arms of the three-way harness (DESIGN.md §8): the serial
-/// row executor is the reference; parallel, vectorized, and
-/// vectorized-under-the-scheduler must all land on its exact bytes.
-inline std::vector<ExecMode> DifferentialModes() {
-  return {{"parallel4", 4, false},
-          {"vectorized", 1, true},
-          {"vectorized_parallel4", 4, true}};
 }
 
 /// Node stats keyed by id — completion order differs between serial and

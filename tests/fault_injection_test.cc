@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <set>
 
 #include "core/quarry.h"
@@ -377,6 +378,12 @@ TEST_F(FaultInjectionTest, TenPercentFaultRateEverywhereStillDeploys) {
 
   DeployOptions options;
   options.retry.max_attempts = 10;
+  // One chunk per node, so every site — the per-chunk gate included — is
+  // drawn once per node attempt: 10% per site per attempt is the rate the
+  // retry count is sized for. (At 1024-row chunks a 30-chunk node would
+  // pass an attempt with probability 0.9^30 ~ 4%; SmallChunkFaultTest
+  // covers faults at the per-chunk gate of many-chunk nodes.)
+  options.exec.chunk_size = std::numeric_limits<int32_t>::max();
 
   Injector::Instance().Disable();
   storage::Database target;
@@ -569,37 +576,36 @@ TEST_F(FaultInjectionTest, ParallelKillAndResumeWithConcurrentSiblings) {
 }
 
 // ---------------------------------------------------------------------------
-// The fault matrix under the vectorized chunk runtime (DESIGN.md §8): the
-// chunked kernels keep the row path's per-operator fault sites and add a
-// per-chunk one (`etl.exec.vec.chunk`), so the same transient/unrecoverable
-// contracts must hold with ExecOptions::vectorized set — including a fault
-// that fires mid-stream, after some chunks of a node already processed.
+// The fault matrix at a small chunk size (DESIGN.md §8): besides the
+// per-operator fault sites, every kernel passes a per-chunk one
+// (`etl.exec.vec.chunk`), so with many chunks per node the same
+// transient/unrecoverable contracts must hold for a fault that fires
+// mid-stream, after some chunks of a node already processed.
 
-class VectorizedFaultTest : public FaultInjectionTest {
+class SmallChunkFaultTest : public FaultInjectionTest {
  protected:
-  static deployer::DeployOptions VectorizedOptions() {
+  static deployer::DeployOptions SmallChunkOptions() {
     deployer::DeployOptions options;
-    options.exec.vectorized = true;
     options.exec.chunk_size = 32;  // many chunks per node at sf 0.005
     return options;
   }
 
-  /// Fault surface of a vectorized deployment: the per-operator sites plus
-  /// the per-chunk gate the row path does not have.
-  std::vector<std::string> DiscoverVectorizedSites() {
+  /// Fault surface of a small-chunk deployment: the per-operator sites plus
+  /// the per-chunk gate.
+  std::vector<std::string> DiscoverSmallChunkSites() {
     Injector::Instance().Disable();
     storage::Database target;
     docstore::DocumentStore meta = SeededMetadata();
     Injector::Instance().ClearConfigs();
     Injector::Instance().Enable(/*seed=*/7);
-    DeploymentOutcome outcome = Deploy(&target, &meta, VectorizedOptions());
+    DeploymentOutcome outcome = Deploy(&target, &meta, SmallChunkOptions());
     EXPECT_TRUE(outcome.success);
     return Injector::Instance().HitSites();
   }
 };
 
-TEST_F(VectorizedFaultTest, ChunkGateIsPartOfTheFaultSurface) {
-  std::vector<std::string> sites = DiscoverVectorizedSites();
+TEST_F(SmallChunkFaultTest, ChunkGateIsPartOfTheFaultSurface) {
+  std::vector<std::string> sites = DiscoverSmallChunkSites();
   std::set<std::string> surface(sites.begin(), sites.end());
   EXPECT_TRUE(surface.count("etl.exec.vec.chunk"));
   EXPECT_TRUE(surface.count("etl.exec.Loader.write"));
@@ -608,8 +614,8 @@ TEST_F(VectorizedFaultTest, ChunkGateIsPartOfTheFaultSurface) {
             static_cast<int64_t>(design_.flow.num_nodes()));
 }
 
-TEST_F(VectorizedFaultTest, EverySiteRecoversFromOneTransientFault) {
-  std::vector<std::string> sites = ExecutorSites(DiscoverVectorizedSites());
+TEST_F(SmallChunkFaultTest, EverySiteRecoversFromOneTransientFault) {
+  std::vector<std::string> sites = ExecutorSites(DiscoverSmallChunkSites());
   ASSERT_GT(sites.size(), 0u);
 
   for (const std::string& site : sites) {
@@ -622,7 +628,7 @@ TEST_F(VectorizedFaultTest, EverySiteRecoversFromOneTransientFault) {
                                    {.trigger_on_hit = 1, .max_failures = 1});
     Injector::Instance().Enable(7);
 
-    deployer::DeployOptions options = VectorizedOptions();
+    deployer::DeployOptions options = SmallChunkOptions();
     options.retry.max_attempts = 4;
     DeploymentOutcome outcome = Deploy(&target, &meta, options);
     EXPECT_TRUE(outcome.success) << "site " << site << ": "
@@ -635,9 +641,9 @@ TEST_F(VectorizedFaultTest, EverySiteRecoversFromOneTransientFault) {
   }
 }
 
-TEST_F(VectorizedFaultTest,
+TEST_F(SmallChunkFaultTest,
        UnrecoverableFaultRollsBackMetadataByteIdentically) {
-  std::vector<std::string> sites = ExecutorSites(DiscoverVectorizedSites());
+  std::vector<std::string> sites = ExecutorSites(DiscoverSmallChunkSites());
   ASSERT_GT(sites.size(), 0u);
 
   for (const std::string& site : sites) {
@@ -650,7 +656,7 @@ TEST_F(VectorizedFaultTest,
     Injector::Instance().Configure(site, {.fail_from_hit = 1});
     Injector::Instance().Enable(7);
 
-    deployer::DeployOptions options = VectorizedOptions();
+    deployer::DeployOptions options = SmallChunkOptions();
     options.retry.max_attempts = 2;
     DeploymentOutcome outcome = Deploy(&target, &meta, options);
     ASSERT_FALSE(outcome.success) << "site " << site;
@@ -664,7 +670,7 @@ TEST_F(VectorizedFaultTest,
   }
 }
 
-TEST_F(VectorizedFaultTest, MidChunkTransientFaultRetriesTheWholeNode) {
+TEST_F(SmallChunkFaultTest, MidChunkTransientFaultRetriesTheWholeNode) {
   // The 3rd chunk-gate hit fails once: the node dies mid-stream with some
   // chunks already processed, rolls back to its input boundary, and the
   // retry replays it from the first chunk — absorbed, not surfaced.
@@ -675,7 +681,7 @@ TEST_F(VectorizedFaultTest, MidChunkTransientFaultRetriesTheWholeNode) {
 
   storage::Database target;
   docstore::DocumentStore meta = SeededMetadata();
-  deployer::DeployOptions options = VectorizedOptions();
+  deployer::DeployOptions options = SmallChunkOptions();
   options.retry.max_attempts = 3;
   DeploymentOutcome outcome = Deploy(&target, &meta, options);
   ASSERT_TRUE(outcome.success)
@@ -685,7 +691,7 @@ TEST_F(VectorizedFaultTest, MidChunkTransientFaultRetriesTheWholeNode) {
   EXPECT_EQ(Injector::Instance().FailureCount("etl.exec.vec.chunk"), 1);
 }
 
-TEST_F(VectorizedFaultTest, MidChunkFaultResumesFromChunkBoundaryCheckpoint) {
+TEST_F(SmallChunkFaultTest, MidChunkFaultResumesFromChunkBoundaryCheckpoint) {
   // A permanent mid-stream chunk fault kills the run after upstream nodes
   // completed. Checkpoints are cut at chunk boundaries (the gate runs
   // between chunks), so the checkpoint holds every node that finished all
@@ -697,10 +703,9 @@ TEST_F(VectorizedFaultTest, MidChunkFaultResumesFromChunkBoundaryCheckpoint) {
   ASSERT_TRUE(storage::ExecuteSql(&target, *sql).ok());
 
   etl::ExecOptions exec;
-  exec.vectorized = true;
   exec.chunk_size = 32;
 
-  // Clean vectorized reference run with the injector armed but unconfigured:
+  // Clean reference run with the injector armed but unconfigured:
   // its chunk-gate hit count tells us where the stream ends, so the fault
   // below can be pinned to the LAST gate hit — guaranteed mid-run (upstream
   // nodes complete) and guaranteed mid-stream of whatever node draws it.
@@ -850,11 +855,10 @@ TEST_F(GenerationRollbackTest, ParallelDeployServingRollsBackAtEverySite) {
   RunMatrix(exec, "quarry_generation_rollback_parallel");
 }
 
-TEST_F(GenerationRollbackTest, VectorizedDeployServingRollsBackAtEverySite) {
+TEST_F(GenerationRollbackTest, SmallChunkDeployServingRollsBackAtEverySite) {
   etl::ExecOptions exec;
-  exec.vectorized = true;
   exec.chunk_size = 32;
-  RunMatrix(exec, "quarry_generation_rollback_vectorized");
+  RunMatrix(exec, "quarry_generation_rollback_small_chunks");
 }
 
 }  // namespace

@@ -410,7 +410,6 @@ class CubeQueryFastPathTest : public ::testing::Test {
     if (!want.status.ok() || !got.ok()) return {};
     ++queries_run_;
 
-    EXPECT_FALSE(got->columnar) << what;
     EXPECT_TRUE(got->chunks.empty()) << what;
     EXPECT_EQ(got->columns, want.data.columns) << what;
     EXPECT_EQ(got->rows.size(), want.data.rows.size()) << what;
@@ -438,7 +437,6 @@ class CubeQueryFastPathTest : public ::testing::Test {
       }
       EXPECT_EQ(n.rows_in, it->second.rows_in) << what << " " << n.node_id;
       EXPECT_EQ(n.rows_out, it->second.rows_out) << what << " " << n.node_id;
-      EXPECT_EQ(n.kernel, "chunk") << what << " " << n.node_id;
     }
     return std::move(*got);
   }

@@ -20,11 +20,12 @@
 //      resuming converges on the serial result, and resuming *again* is a
 //      no-op (idempotence).
 //
-//  P8  the vectorized chunk runtime (DESIGN.md §8) lands on the serial row
-//      executor's exact bytes and per-node row counts for ANY chunk size —
-//      1 (every chunk a singleton), 7 (partial last chunk everywhere),
-//      1024 (the default), and rows+1 (one oversized chunk) — with and
-//      without the wavefront scheduler underneath.
+//  P8  the chunk runtime (DESIGN.md §8) lands on the golden corpus's
+//      frozen row-at-a-time bytes and per-node row counts
+//      (tests/golden_corpus.h) for ANY chunk size — 1 (every chunk a
+//      singleton), 7 (partial last chunk everywhere), 1024 (the default),
+//      and rows+1 (one oversized chunk) — with and without the wavefront
+//      scheduler underneath.
 
 #include <gtest/gtest.h>
 
@@ -35,6 +36,7 @@
 #include "datagen/tpch.h"
 #include "etl/exec/executor.h"
 #include "etl_test_util.h"
+#include "golden_corpus.h"
 #include "integrator/design_integrator.h"
 #include "integrator/satisfiability.h"
 #include "interpreter/interpreter.h"
@@ -395,98 +397,43 @@ INSTANTIATE_TEST_SUITE_P(DagSweep, SchedulerProperty,
                          });
 
 // ---------------------------------------------------------------------------
-// Vectorized-runtime properties (DESIGN.md §8) over the same seeded random
-// DAGs: chunking is an execution detail, so no chunk size may ever change
-// the bytes. The sweep deliberately includes chunk_size 1 (selection-vector
-// carry-over on singleton chunks), 7 (a partial last chunk on nearly every
-// node) and rows+1 (the whole input in one oversized chunk); empty
-// intermediate streams arise naturally from the generated selections.
+// Chunk-runtime properties (DESIGN.md §8) over the same seeded random DAGs
+// and over the typed-key flows: chunking is an execution detail, so no
+// chunk size may ever change the bytes. The sweep deliberately includes
+// chunk_size 1 (selection-vector carry-over on singleton chunks), 7 (a
+// partial last chunk on nearly every node) and rows+1 (the whole input in
+// one oversized chunk); empty intermediate streams arise naturally from
+// the generated selections. Every arm is compared with the golden records.
 
-class VectorizedProperty : public ::testing::TestWithParam<uint64_t> {};
+class GoldenCorpusProperty : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(VectorizedProperty, P8_ChunkSizeNeverChangesBytes) {
+void ExpectSweepMatchesGolden(const etl::testutil::CorpusCase& c) {
+  for (const std::string& mismatch : etl::testutil::SweepMismatches(c)) {
+    ADD_FAILURE() << mismatch;
+  }
+}
+
+TEST_P(GoldenCorpusProperty, P8_ChunkSizeNeverChangesBytes) {
   const uint64_t seed = GetParam();
-  auto source = etl::testutil::BuildRandomSource(seed);
-  etl::Flow flow = etl::testutil::BuildRandomFlow(seed);
-  ASSERT_TRUE(flow.Validate().ok());
-  etl::testutil::RunOutcome serial = etl::testutil::RunFlow(*source, flow, 1);
-  ASSERT_TRUE(serial.status.ok()) << serial.status;
-  auto serial_stats = etl::testutil::StatsById(serial.report);
-
-  const int64_t oversized = serial.report.rows_processed + 1;
-  for (int64_t chunk_size : {int64_t{1}, int64_t{7}, int64_t{1024},
-                             oversized}) {
-    for (int workers : {1, 4}) {
-      etl::ExecOptions options;
-      options.vectorized = true;
-      options.chunk_size = chunk_size;
-      options.max_workers = workers;
-      etl::testutil::RunOutcome outcome =
-          etl::testutil::RunFlowOpts(*source, flow, options);
-      ASSERT_TRUE(outcome.status.ok())
-          << "seed " << seed << " chunk_size " << chunk_size << " workers "
-          << workers << ": " << outcome.status;
-      EXPECT_EQ(outcome.fingerprint, serial.fingerprint)
-          << "seed " << seed << " chunk_size " << chunk_size << " workers "
-          << workers;
-      EXPECT_EQ(outcome.report.rows_processed,
-                serial.report.rows_processed)
-          << "seed " << seed << " chunk_size " << chunk_size;
-      auto stats = etl::testutil::StatsById(outcome.report);
-      ASSERT_EQ(stats.size(), flow.num_nodes());
-      for (const auto& [id, want] : serial_stats) {
-        auto it = stats.find(id);
-        ASSERT_NE(it, stats.end()) << id;
-        EXPECT_EQ(it->second.rows_in, want.rows_in)
-            << "node " << id << " seed " << seed << " chunk_size "
-            << chunk_size;
-        EXPECT_EQ(it->second.rows_out, want.rows_out)
-            << "node " << id << " seed " << seed << " chunk_size "
-            << chunk_size;
-      }
-    }
+  for (const etl::testutil::CorpusCase& c :
+       etl::testutil::RandomCases(seed, seed)) {
+    ASSERT_TRUE(c.flow.Validate().ok());
+    ExpectSweepMatchesGolden(c);
   }
 }
 
 // The same sweep over the typed-key flows: single-column INT/DATE/STRING
 // join and group keys with NULLs, zero payloads and duplicate build keys,
 // plus the INT-vs-DOUBLE join and multi-column keys that stay generic.
-TEST_P(VectorizedProperty, P8_TypedKeysNeverChangeBytes) {
+TEST_P(GoldenCorpusProperty, P8_TypedKeysNeverChangeBytes) {
   const uint64_t seed = GetParam();
-  auto source = etl::testutil::BuildTypedKeySource(seed);
-  for (const etl::Flow& flow : etl::testutil::TypedKeyFlows()) {
-    etl::testutil::RunOutcome serial =
-        etl::testutil::RunFlow(*source, flow, 1);
-    ASSERT_TRUE(serial.status.ok()) << flow.name() << ": " << serial.status;
-    auto serial_stats = etl::testutil::StatsById(serial.report);
-    const int64_t oversized = serial.report.rows_processed + 1;
-    for (int64_t chunk_size : {int64_t{1}, int64_t{7}, int64_t{1024},
-                               oversized}) {
-      for (int workers : {1, 4}) {
-        etl::ExecOptions options;
-        options.vectorized = true;
-        options.chunk_size = chunk_size;
-        options.max_workers = workers;
-        etl::testutil::RunOutcome outcome =
-            etl::testutil::RunFlowOpts(*source, flow, options);
-        const std::string arm = flow.name() + " seed " +
-                                std::to_string(seed) + " chunk_size " +
-                                std::to_string(chunk_size) + " workers " +
-                                std::to_string(workers);
-        ASSERT_TRUE(outcome.status.ok()) << arm << ": " << outcome.status;
-        EXPECT_EQ(outcome.fingerprint, serial.fingerprint) << arm;
-        auto stats = etl::testutil::StatsById(outcome.report);
-        ASSERT_EQ(stats.size(), flow.num_nodes()) << arm;
-        for (const auto& [id, want] : serial_stats) {
-          EXPECT_EQ(stats[id].rows_in, want.rows_in) << id << " " << arm;
-          EXPECT_EQ(stats[id].rows_out, want.rows_out) << id << " " << arm;
-        }
-      }
-    }
+  for (const etl::testutil::CorpusCase& c :
+       etl::testutil::TypedKeyCases(seed, seed)) {
+    ExpectSweepMatchesGolden(c);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(ChunkSweep, VectorizedProperty,
+INSTANTIATE_TEST_SUITE_P(ChunkSweep, GoldenCorpusProperty,
                          ::testing::Values(41, 42, 43, 44, 45, 46, 47, 48),
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
                            return "seed" + std::to_string(info.param);

@@ -411,9 +411,9 @@ TEST_F(ServingTest, SubmitQueryHonoursTheRequestLifecycle) {
 }
 
 // --- the query path on the chunk kernels -----------------------------------
-// SubmitQuery runs its plan on the vectorized kernels whatever etl_exec
-// says, so the chunk-level fault site, the per-chunk lifecycle checks and
-// the per-chunk budget charges are what a query meets.
+// SubmitQuery runs its plan serially at the default chunk size whatever
+// etl_exec says, so the chunk-level fault site, the per-chunk lifecycle
+// checks and the per-chunk budget charges are what a query meets.
 
 TEST_F(ServingTest, QueryChunkFaultSurfacesWithNodeContextAndChangesNothing) {
   ASSERT_TRUE(quarry_->DeployServing().ok());
@@ -514,11 +514,10 @@ TEST_F(ServingTest, QueryDeadlineTripsAtChunkGranularity) {
   EXPECT_TRUE(tripped_mid_node);
 }
 
-// Row budgets: the chunk kernels charge chunk by chunk, the row kernels
-// node by node, and the totals agree — so a budget trips at the same plan
-// node either way. The row-path reference runs the compiled plan on the
-// row executor.
-TEST_F(ServingTest, QueryRowBudgetTripsAtTheSameNodeAsTheRowPath) {
+// Row budgets: the kernels charge chunk by chunk and the totals do not
+// depend on the chunk size — so a budget trips at the same plan node as
+// when the compiled plan runs row at a time (chunk size 1).
+TEST_F(ServingTest, QueryRowBudgetTripsAtTheSameNodeAsRowAtATime) {
   ASSERT_TRUE(quarry_->DeployServing().ok());
   auto pin = quarry_->warehouse().Acquire();
   ASSERT_TRUE(pin.ok());
@@ -529,7 +528,8 @@ TEST_F(ServingTest, QueryRowBudgetTripsAtTheSameNodeAsTheRowPath) {
   auto flow = engine.Compile(query);
   ASSERT_TRUE(flow.ok()) << flow.status();
   etl::Executor row_executor(&pin->db(), nullptr);
-  auto unbounded = row_executor.Run(*flow);
+  const etl::ExecOptions row_at_a_time{.chunk_size = 1};
+  auto unbounded = row_executor.Run(*flow, row_at_a_time, etl::RetryPolicy{});
   ASSERT_TRUE(unbounded.ok()) << unbounded.status();
 
   auto node_of = [](const Status& status) {
@@ -548,8 +548,8 @@ TEST_F(ServingTest, QueryRowBudgetTripsAtTheSameNodeAsTheRowPath) {
     cumulative += node.rows_out;
     if (node.rows_out == 0) continue;
     ExecContext row_ctx(CancellationToken(), Deadline::Infinite(), budget);
-    auto row_run = row_executor.Run(*flow, etl::RetryPolicy{}, nullptr,
-                                    &row_ctx);
+    auto row_run = row_executor.Run(*flow, row_at_a_time, etl::RetryPolicy{},
+                                    nullptr, &row_ctx);
     ASSERT_FALSE(row_run.ok()) << node.node_id;
     ASSERT_TRUE(row_run.status().IsResourceExhausted()) << row_run.status();
     ExecContext query_ctx(CancellationToken(), Deadline::Infinite(), budget);

@@ -5,11 +5,13 @@
 #   3. crash     — fault + crash matrices under ASan (tools/run_crash_matrix.sh)
 #   4. recovery  — warehouse kill-and-recover matrix, plain build (fast
 #                  re-run of the §10 crash surface outside the ASan gate)
-#   5. vectorized — three-way differential harness (serial vs parallel vs
-#                  vectorized chunk runtime, byte-identical targets) plus
-#                  the bench's --smoke mode, which re-proves fingerprint
-#                  equality on real TPC-H data and that the chunk kernels
-#                  actually ran (DESIGN.md §8)
+#   5. golden   — golden-corpus differential suites (every corpus flow at
+#                  chunk sizes 1/7/1024/rows+1 on 1 and 4 workers against
+#                  the frozen row-at-a-time records of tests/data/, plus
+#                  the serving-path differential) — each filter must select
+#                  at least one test — and the chunk bench's --smoke mode,
+#                  which re-checks TPC-H runs against the golden corpus and
+#                  that the chunk kernels actually ran (DESIGN.md §8)
 #   6. metrics   — two-way metric/doc lint (tools/check_metrics_doc.sh)
 #   7. http      — telemetry-endpoint smoke: start quarry_httpd, curl all
 #                  six endpoints, validate JSON with the in-tree parser
@@ -69,23 +71,37 @@ warehouse_recovery() {
     --output-on-failure
 }
 
-# Three-way differential harness + bench smoke (DESIGN.md §8), plus the
-# serving-path differential (cube queries on the chunk kernels vs. the
-# loader path they replaced): the filters pin the vectorized equivalence
-# suites so a rename that silently empties one
-# shows up as a 0-test run in this step's output, and the bench smoke proves
-# fingerprint equality on TPC-H data with the chunk kernels verifiably
-# engaged (it exits non-zero when they never ran).
-vectorized_differential() {
-  "${build_dir}/tests/etl_parallel_test" \
-    --gtest_filter='EtlVectorizedTest.*' &&
-    "${build_dir}/tests/property_test" \
-      --gtest_filter='*VectorizedProperty*' &&
-    "${build_dir}/tests/olap_test" \
-      --gtest_filter='CubeQueryFastPathTest.*'
+# Runs one gtest binary under a filter and fails when the filter selected
+# no test: a suite renamed away must not pass as a 0-test run. (GoogleTest
+# 1.12 has no --gtest_fail_if_no_test_selected, so the "[  PASSED  ] N"
+# summary line is counted instead.)
+run_filtered() {
+  local binary="$1" filter="$2" out passed
+  out="$("${build_dir}/tests/${binary}" --gtest_filter="${filter}" 2>&1)"
+  local status=$?
+  echo "${out}"
+  passed="$(sed -n 's/^\[  PASSED  \] \([0-9]*\) test.*/\1/p' <<<"${out}")"
+  if [[ "${status}" -ne 0 ]]; then
+    return "${status}"
+  fi
+  if [[ -z "${passed}" || "${passed}" -eq 0 ]]; then
+    echo "run_all_checks: ${binary} --gtest_filter='${filter}' ran no test"
+    return 1
+  fi
 }
 
-vectorized_bench_smoke() {
+# Golden-corpus differential suites + bench smoke (DESIGN.md §8), plus the
+# serving-path differential (cube queries vs. the loader path they
+# replaced): every run is compared with the frozen row-at-a-time records,
+# and the bench smoke re-checks TPC-H runs against them with the chunk
+# kernels verifiably engaged (it exits non-zero when they never ran).
+golden_differential() {
+  run_filtered etl_parallel_test 'GoldenCorpusTest.*' &&
+    run_filtered property_test '*GoldenCorpusProperty*' &&
+    run_filtered olap_test 'CubeQueryFastPathTest.*'
+}
+
+chunk_bench_smoke() {
   "${build_dir}/bench/bench_etl_vectorized" --smoke
 }
 
@@ -102,8 +118,8 @@ run_step "tier-1 build+ctest" tier1
 run_step "tsan slice" "${repo_root}/tools/run_tsan.sh"
 run_step "crash matrix (asan)" "${repo_root}/tools/run_crash_matrix.sh"
 run_step "warehouse recovery" warehouse_recovery
-run_step "vectorized differential" vectorized_differential
-run_step "vectorized bench smoke" vectorized_bench_smoke
+run_step "golden differential" golden_differential
+run_step "chunk bench smoke" chunk_bench_smoke
 run_step "metrics doc lint" "${repo_root}/tools/check_metrics_doc.sh"
 run_step "http smoke" "${repo_root}/tools/run_http_smoke.sh" "${build_dir}"
 run_step "load smoke" "${repo_root}/tools/run_load_smoke.sh" "${build_dir}"
