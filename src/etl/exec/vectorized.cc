@@ -11,6 +11,8 @@
 // worker count.
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -93,61 +95,20 @@ std::string Param(const Node& node, const std::string& key) {
   return it == node.params.end() ? "" : it->second;
 }
 
-/// Running state of one aggregate.
-struct AggState {
-  double sum = 0;
-  int64_t int_sum = 0;
-  bool all_int = true;
-  bool any = false;
-  int64_t count = 0;
-  storage::Value min, max;
-};
-
-/// Folds one COUNT(*) observation.
-void AccumulateAggStar(AggState* st) {
-  ++st->count;
-  st->any = true;
-}
-
-/// Folds one column value; NULLs are skipped per SQL aggregate semantics.
-void AccumulateAgg(AggState* st, const storage::Value& v) {
-  if (v.is_null()) return;
-  ++st->count;
-  if (v.is_numeric()) {
-    st->sum += v.as_double();
-    if (v.is_int()) {
-      st->int_sum += v.as_int();
-    } else {
-      st->all_int = false;
-    }
-  }
-  if (!st->any || v.Compare(st->min) < 0) st->min = v;
-  if (!st->any || v.Compare(st->max) > 0) st->max = v;
-  st->any = true;
-}
-
-/// The aggregate's output value: COUNT of an empty group is 0, every other
-/// function NULLs out; SUM stays INT while every input was INT.
-storage::Value FinalizeAgg(const std::string& function,
-                           const AggState& st) {
-  if (function == "COUNT") return Value::Int(st.count);
-  if (!st.any) return Value::Null();
-  if (function == "SUM") {
-    return st.all_int ? Value::Int(st.int_sum) : Value::Double(st.sum);
-  }
-  if (function == "AVG") {
-    return Value::Double(st.sum / static_cast<double>(st.count));
-  }
-  if (function == "MIN") return st.min;
-  return st.max;
-}
-
 // ---- chunk accounting --------------------------------------------------
 
 obs::Counter& ChunkRowsCounter() {
   static obs::Counter& c = obs::MetricsRegistry::Instance().counter(
       "quarry_etl_chunk_rows_total",
       "Rows processed by the chunk kernels");
+  return c;
+}
+
+obs::Counter& FastFilterCounter() {
+  static obs::Counter& c = obs::MetricsRegistry::Instance().counter(
+      "quarry_etl_chunk_fast_filter_total",
+      "Selection chunks filtered on the typed fast path (a column compared "
+      "with a literal or a column on segment payloads)");
   return c;
 }
 
@@ -264,11 +225,12 @@ class ChunkEval {
 
 // ---------------------------------------------------------------------------
 // Fast filter path: `col cmp literal` / `col cmp col` predicates over
-// numeric or date segments compare on the typed payloads directly. The
-// comparison must agree with Value::Compare: exact int64 when both sides
+// numeric, date or string segments compare on the typed payloads directly.
+// The comparison must agree with Value::Compare: exact int64 when both sides
 // are INT, sign-of-difference through double otherwise, raw day counts for
-// dates. Anything the fast path cannot prove equivalent falls back to
-// ChunkEval for that chunk (segment reps can differ chunk to chunk).
+// dates, std::string::compare for strings. Anything the fast path cannot
+// prove equivalent falls back to ChunkEval for that chunk (segment reps can
+// differ chunk to chunk).
 
 enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
@@ -306,12 +268,22 @@ bool CmpKeep(CmpOp op, int cmp) {
 
 int Sign(double d) { return d < 0 ? -1 : (d > 0 ? 1 : 0); }
 
+template <typename T>
+int ThreeWay(T a, T b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+int CompareStrings(std::string_view a, std::string_view b) {
+  const int cmp = a.compare(b);
+  return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
+}
+
 struct FastCompare {
   CmpOp op = CmpOp::kEq;
   size_t lhs_col = 0;
   bool rhs_is_col = false;
   size_t rhs_col = 0;
-  Value literal;  // When !rhs_is_col; always non-NULL numeric or date.
+  Value literal;  // When !rhs_is_col; always non-NULL numeric, date or string.
 };
 
 std::optional<size_t> FirstIndexOf(const std::vector<std::string>& columns,
@@ -345,7 +317,9 @@ std::optional<FastCompare> TryFastCompare(
     }
     if (other.kind() != Expr::Kind::kLiteral) return std::nullopt;
     const Value& lit = other.literal();
-    if (!lit.is_numeric() && !lit.is_date()) return std::nullopt;
+    if (!lit.is_numeric() && !lit.is_date() && !lit.is_string()) {
+      return std::nullopt;
+    }
     f.literal = lit;
     return f;
   };
@@ -363,18 +337,25 @@ bool NumericRep(ValueSegment::Rep rep) {
          rep == ValueSegment::Rep::kDouble;
 }
 
+/// The segment rep a non-NULL numeric, date or string literal would have.
+ValueSegment::Rep LiteralRep(const Value& literal) {
+  if (literal.is_int()) return ValueSegment::Rep::kInt64;
+  if (literal.is_double()) return ValueSegment::Rep::kDouble;
+  if (literal.is_date()) return ValueSegment::Rep::kDate;
+  return ValueSegment::Rep::kString;
+}
+
 /// True when the fast comparison is provably Value::Compare-equivalent for
-/// this chunk's segment representations.
+/// this chunk's segment representations: numeric against numeric, or date
+/// against date, or string against string.
 bool FastCompareEligible(const FastCompare& f, const Chunk& chunk) {
-  const ValueSegment& ls = chunk.segment(f.lhs_col);
-  if (f.rhs_is_col) {
-    const ValueSegment& rs = chunk.segment(f.rhs_col);
-    return (NumericRep(ls.rep()) && NumericRep(rs.rep())) ||
-           (ls.rep() == ValueSegment::Rep::kDate &&
-            rs.rep() == ValueSegment::Rep::kDate);
-  }
-  return (NumericRep(ls.rep()) && f.literal.is_numeric()) ||
-         (ls.rep() == ValueSegment::Rep::kDate && f.literal.is_date());
+  const ValueSegment::Rep lhs = chunk.segment(f.lhs_col).rep();
+  const ValueSegment::Rep rhs = f.rhs_is_col
+                                    ? chunk.segment(f.rhs_col).rep()
+                                    : LiteralRep(f.literal);
+  return (NumericRep(lhs) && NumericRep(rhs)) ||
+         (lhs == rhs && (lhs == ValueSegment::Rep::kDate ||
+                         lhs == ValueSegment::Rep::kString));
 }
 
 double SegDouble(const ValueSegment& s, uint32_t phys) {
@@ -389,38 +370,50 @@ void RunFastCompare(const FastCompare& f, const Chunk& chunk,
                     std::vector<uint32_t>* sel) {
   const ValueSegment& ls = chunk.segment(f.lhs_col);
   const ValueSegment* rs = f.rhs_is_col ? &chunk.segment(f.rhs_col) : nullptr;
-  const size_t n = chunk.num_rows();
-  const bool date_cmp = ls.rep() == ValueSegment::Rep::kDate;
-  const bool int_cmp =
-      !date_cmp && ls.rep() == ValueSegment::Rep::kInt64 &&
-      (f.rhs_is_col ? rs->rep() == ValueSegment::Rep::kInt64
-                    : f.literal.is_int());
-  const int64_t lit_int = !f.rhs_is_col && f.literal.is_int()
-                              ? f.literal.as_int()
-                              : 0;
-  const double lit_dbl =
-      !f.rhs_is_col && f.literal.is_numeric() ? f.literal.as_double() : 0.0;
-  const int32_t lit_date =
-      !f.rhs_is_col && f.literal.is_date() ? f.literal.as_date_days() : 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t phys = chunk.PhysicalRow(i);
-    if (ls.IsNull(phys) || (rs != nullptr && rs->IsNull(phys))) continue;
-    int cmp;
-    if (date_cmp) {
-      int32_t a = ls.dates()[phys];
-      int32_t b = rs != nullptr ? rs->dates()[phys] : lit_date;
-      cmp = a < b ? -1 : (a > b ? 1 : 0);
-    } else if (int_cmp) {
-      int64_t a = ls.ints()[phys];
-      int64_t b = rs != nullptr ? rs->ints()[phys] : lit_int;
-      cmp = a < b ? -1 : (a > b ? 1 : 0);
-    } else {
-      double a = SegDouble(ls, phys);
-      double b = rs != nullptr ? SegDouble(*rs, phys) : lit_dbl;
-      cmp = Sign(a - b);
+  auto select = [&](const auto& compare) {
+    for (size_t i = 0; i < chunk.num_rows(); ++i) {
+      const uint32_t phys = chunk.PhysicalRow(i);
+      if (ls.IsNull(phys) || (rs != nullptr && rs->IsNull(phys))) continue;
+      if (CmpKeep(f.op, compare(phys))) sel->push_back(phys);
     }
-    if (CmpKeep(f.op, cmp)) sel->push_back(phys);
+  };
+  switch (ls.rep()) {
+    case ValueSegment::Rep::kDate: {
+      const int32_t lit = rs == nullptr ? f.literal.as_date_days() : 0;
+      select([&](uint32_t p) {
+        return ThreeWay(ls.dates()[p], rs != nullptr ? rs->dates()[p] : lit);
+      });
+      return;
+    }
+    case ValueSegment::Rep::kString: {
+      const std::string_view lit =
+          rs == nullptr ? std::string_view(f.literal.as_string())
+                        : std::string_view();
+      select([&](uint32_t p) {
+        return CompareStrings(
+            ls.strings()[p],
+            rs != nullptr ? std::string_view(rs->strings()[p]) : lit);
+      });
+      return;
+    }
+    default:
+      break;
   }
+  const bool int_cmp =
+      ls.rep() == ValueSegment::Rep::kInt64 &&
+      (rs != nullptr ? rs->rep() == ValueSegment::Rep::kInt64
+                     : f.literal.is_int());
+  if (int_cmp) {
+    const int64_t lit = rs == nullptr ? f.literal.as_int() : 0;
+    select([&](uint32_t p) {
+      return ThreeWay(ls.ints()[p], rs != nullptr ? rs->ints()[p] : lit);
+    });
+    return;
+  }
+  const double lit = rs == nullptr ? f.literal.as_double() : 0.0;
+  select([&](uint32_t p) {
+    return Sign(SegDouble(ls, p) - (rs != nullptr ? SegDouble(*rs, p) : lit));
+  });
 }
 
 /// Group key of `chunk`'s physical row at `positions`.
@@ -447,18 +440,23 @@ Result<DataType> InferColumnType(const std::vector<Chunk>& chunks,
 }
 
 // ---------------------------------------------------------------------------
-// Hash join, hash aggregation and surrogate keys. A key that is one column
-// whose segments all hold the same physical type — int64, date days or
-// string — is hashed on its payload (TypedKey) instead of a
-// std::vector<Value> per row (GenericKey). Payload equality within one type
-// is exactly Value::SameAs (Compare is exact for INT-INT, DATE-DATE and
-// STRING-STRING), and NULL is decided from the null mask before any
-// payload is read. Keys whose
-// segments mix types (kMixed, INT in one chunk and DOUBLE in another) and
-// cross-type join pairs such as INT vs DOUBLE, where 1 and 1.0 are the same
-// key, stay generic. Both key forms share the kernels below, so NULL-key
-// semantics, probe-order output and first-seen group and id order cannot
-// drift.
+// Hash join, hash aggregation and surrogate keys map each live row's key to
+// a dense id (0, 1, ... in first-seen order) through a key map.
+//
+// TypedKeys serves a key of any arity whose columns each hold one physical
+// type — int64, date days or string — across every chunk and side. It packs
+// the key into fixed-width words: a NULL bitmask, then one word per column
+// (a date widens to int64; a string becomes its id in a per-column
+// dictionary that a join's build and probe sides share, viewing the segment
+// payloads). Word equality within one column type is exactly Value::SameAs,
+// and NULL is read from the null mask before any payload, so NULL stays one
+// group and never joins. GenericKeys hashes a Row of Values and serves the
+// rest: DOUBLE and kMixed columns, columns whose type differs between chunks,
+// and cross-type join pairs such as INT vs DOUBLE, where 1 and 1.0 are the
+// same key. Both maps feed the same kernels, so NULL-key semantics,
+// probe-order output and first-seen group and id order cannot drift.
+
+constexpr uint32_t kNoRow = UINT32_MAX;
 
 enum class KeyKind { kNone, kInt64, kDate, kString, kGeneric };
 
@@ -482,101 +480,265 @@ KeyKind FoldKeyKind(KeyKind kind, const std::vector<Chunk>& chunks,
   return kind;
 }
 
-/// A single-column key read straight from the segment payload; nullopt
-/// for NULL. Dates widen to int64 — a date key never meets an INT key,
-/// because the kind check admits one physical type per key.
-template <KeyKind K>
-struct TypedKey {
-  using Type =
-      std::conditional_t<K == KeyKind::kString, std::string_view, int64_t>;
-  size_t column;
-  std::optional<Type> operator()(const Chunk& chunk, uint32_t phys) const {
-    const ValueSegment& seg = chunk.segment(column);
-    if (seg.IsNull(phys)) return std::nullopt;
-    if constexpr (K == KeyKind::kString) {
-      return std::string_view(seg.strings()[phys]);
-    } else if constexpr (K == KeyKind::kDate) {
-      return seg.dates()[phys];
-    } else {
-      return seg.ints()[phys];
+uint64_t Mix64(uint64_t h) {  // MurmurHash3's 64-bit finalizer.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+/// Open-addressing index from hashed keys to dense ids 0, 1, ... in
+/// insertion order. It stores ids and hashes only: the caller keeps the
+/// keys and says whether id `i` holds the probed key (`same(i)`).
+class IdTable {
+ public:
+  size_t size() const { return hashes_.size(); }
+
+  /// The id of the key hashing to `hash`, or kNoRow.
+  template <typename Same>
+  uint32_t Find(uint64_t hash, const Same& same) const {
+    if (slots_.empty()) return kNoRow;
+    for (size_t i = hash & mask_;; i = (i + 1) & mask_) {
+      const uint64_t slot = slots_[i];
+      if (slot == kEmpty) return kNoRow;
+      const uint32_t id = static_cast<uint32_t>(slot);
+      if ((slot >> 32) == (hash >> 32) && same(id)) return id;
     }
   }
-};
 
-/// Any key as a Row of Values. `null_is_absent` (joins) maps a key with a
-/// NULL component to nullopt — SQL NULL never matches; group keys keep
-/// NULLs, which SameAs treats as one group.
-struct GenericKey {
-  using Type = Row;
-  const std::vector<size_t>* positions;
-  bool null_is_absent;
-  std::optional<Row> operator()(const Chunk& chunk, uint32_t phys) const {
-    Row key = ChunkKey(chunk, *positions, phys);
-    if (null_is_absent &&
-        std::any_of(key.begin(), key.end(),
-                    [](const Value& v) { return v.is_null(); })) {
-      return std::nullopt;
+  /// Like Find, but a missing key is added under the next id (size()).
+  template <typename Same>
+  uint32_t FindOrAdd(uint64_t hash, const Same& same) {
+    if (2 * (size() + 1) > slots_.size()) Grow();
+    for (size_t i = hash & mask_;; i = (i + 1) & mask_) {
+      const uint64_t slot = slots_[i];
+      if (slot == kEmpty) {
+        const uint32_t id = static_cast<uint32_t>(size());
+        slots_[i] = Slot(hash, id);
+        hashes_.push_back(hash);
+        return id;
+      }
+      const uint32_t id = static_cast<uint32_t>(slot);
+      if ((slot >> 32) == (hash >> 32) && same(id)) return id;
     }
-    return key;
   }
+
+ private:
+  static constexpr uint64_t kEmpty = UINT64_MAX;
+
+  /// A slot packs the hash's high half (a cheap pre-check) with the id.
+  static uint64_t Slot(uint64_t hash, uint32_t id) {
+    return (hash >> 32 << 32) | id;
+  }
+
+  void Grow() {
+    slots_.assign(std::max<size_t>(16, 2 * slots_.size()), kEmpty);
+    mask_ = slots_.size() - 1;
+    for (uint32_t id = 0; id < hashes_.size(); ++id) {
+      size_t i = hashes_[id] & mask_;
+      while (slots_[i] != kEmpty) i = (i + 1) & mask_;
+      slots_[i] = Slot(hashes_[id], id);
+    }
+  }
+
+  std::vector<uint64_t> slots_;
+  std::vector<uint64_t> hashes_;  // By id; only Grow reads them.
+  size_t mask_ = 0;
 };
 
-template <typename Key>
-using KeyHash = std::conditional_t<std::is_same_v<Key, Row>, RowKeyHash,
-                                   std::hash<Key>>;
-template <typename Key>
-using KeyEq = std::conditional_t<std::is_same_v<Key, Row>, RowKeyEq,
-                                 std::equal_to<Key>>;
+/// Distinct strings of one key column under dense ids. The views point
+/// into segment payloads, which outlive the kernel that interns them.
+class StringDict {
+ public:
+  uint32_t FindOrAdd(std::string_view s) {
+    const uint32_t id = table_.FindOrAdd(
+        Hash(s), [&](uint32_t i) { return strings_[i] == s; });
+    if (id == strings_.size()) strings_.push_back(s);
+    return id;
+  }
+  uint32_t Find(std::string_view s) const {
+    return table_.Find(Hash(s),
+                       [&](uint32_t i) { return strings_[i] == s; });
+  }
 
-constexpr uint32_t kNoRow = UINT32_MAX;
+ private:
+  static uint64_t Hash(std::string_view s) {
+    return std::hash<std::string_view>{}(s);
+  }
+  IdTable table_;
+  std::vector<std::string_view> strings_;
+};
+
+/// Maximum arity of a TypedKeys key: the NULL mask is one word.
+constexpr size_t kMaxTypedKeyColumns = 64;
+
+class TypedKeys {
+ public:
+  /// `positions[side]` are the key columns of input `side`; column k has
+  /// kind `kinds[k]` (kInt64, kDate or kString) on every side.
+  TypedKeys(std::vector<KeyKind> kinds,
+            std::vector<const std::vector<size_t>*> positions,
+            bool null_is_absent)
+      : kinds_(std::move(kinds)),
+        positions_(std::move(positions)),
+        null_is_absent_(null_is_absent),
+        width_(kinds_.size() + 1),
+        dicts_(kinds_.size()) {}
+
+  /// Sets `ids` to the key id of each live row of `chunk`, a chunk of input
+  /// `side`. Keys not seen before get the next ids when `add`, else kNoRow.
+  /// With `null_is_absent` (joins) a key with a NULL component is kNoRow.
+  void Map(size_t side, const Chunk& chunk, bool add,
+           std::vector<uint32_t>* ids) {
+    const size_t n = chunk.num_rows();
+    const std::vector<size_t>& positions = *positions_[side];
+    words_.assign(n * width_, 0);
+    ids->assign(n, 0);  // kNoRow marks a key known to be absent.
+    for (size_t k = 0; k < kinds_.size(); ++k) {
+      const ValueSegment& seg = chunk.segment(positions[k]);
+      const uint64_t null_bit = uint64_t{1} << k;
+      // `word(phys, &w)` stores the payload word; false = absent key.
+      auto fill = [&](const auto& word) {
+        for (size_t i = 0; i < n; ++i) {
+          const uint32_t phys = chunk.PhysicalRow(i);
+          uint64_t* w = &words_[i * width_];
+          if (seg.IsNull(phys)) {
+            w[0] |= null_bit;
+            if (null_is_absent_) (*ids)[i] = kNoRow;
+          } else if (!word(phys, &w[k + 1])) {
+            (*ids)[i] = kNoRow;
+          }
+        }
+      };
+      switch (kinds_[k]) {
+        case KeyKind::kDate:
+          fill([&](uint32_t p, uint64_t* w) {
+            *w = static_cast<uint64_t>(static_cast<int64_t>(seg.dates()[p]));
+            return true;
+          });
+          break;
+        case KeyKind::kString: {
+          StringDict& dict = dicts_[k];
+          fill([&](uint32_t p, uint64_t* w) {
+            const std::string_view s = seg.strings()[p];
+            *w = add ? dict.FindOrAdd(s) : dict.Find(s);
+            return *w != kNoRow;
+          });
+          break;
+        }
+        default:
+          fill([&](uint32_t p, uint64_t* w) {
+            *w = static_cast<uint64_t>(seg.ints()[p]);
+            return true;
+          });
+          break;
+      }
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if ((*ids)[i] == kNoRow) continue;
+      const uint64_t* w = &words_[i * width_];
+      uint64_t hash = 0;
+      for (size_t k = 0; k < width_; ++k) hash = Mix64(hash ^ w[k]);
+      auto same = [&](uint32_t id) {
+        return std::equal(w, w + width_, keys_.begin() + id * width_);
+      };
+      if (!add) {
+        (*ids)[i] = table_.Find(hash, same);
+        continue;
+      }
+      const uint32_t id = table_.FindOrAdd(hash, same);
+      if (id * width_ == keys_.size()) keys_.insert(keys_.end(), w, w + width_);
+      (*ids)[i] = id;
+    }
+  }
+
+ private:
+  std::vector<KeyKind> kinds_;
+  std::vector<const std::vector<size_t>*> positions_;
+  bool null_is_absent_;
+  size_t width_;                 // Words per key: the NULL mask + columns.
+  std::vector<StringDict> dicts_;  // Used by kString columns only.
+  IdTable table_;
+  std::vector<uint64_t> keys_;   // width_ words per id.
+  std::vector<uint64_t> words_;  // Scratch: the keys of one chunk.
+};
+
+class GenericKeys {
+ public:
+  GenericKeys(std::vector<const std::vector<size_t>*> positions,
+              bool null_is_absent)
+      : positions_(std::move(positions)), null_is_absent_(null_is_absent) {}
+
+  /// As TypedKeys::Map, on Rows of Values compared with SameAs.
+  void Map(size_t side, const Chunk& chunk, bool add,
+           std::vector<uint32_t>* ids) {
+    ids->clear();
+    for (size_t i = 0; i < chunk.num_rows(); ++i) {
+      Row key = ChunkKey(chunk, *positions_[side], chunk.PhysicalRow(i));
+      if (null_is_absent_ &&
+          std::any_of(key.begin(), key.end(),
+                      [](const Value& v) { return v.is_null(); })) {
+        ids->push_back(kNoRow);
+        continue;
+      }
+      if (add) {
+        const uint32_t fresh = static_cast<uint32_t>(ids_.size());
+        ids->push_back(ids_.try_emplace(std::move(key), fresh).first->second);
+        continue;
+      }
+      auto it = ids_.find(key);
+      ids->push_back(it == ids_.end() ? kNoRow : it->second);
+    }
+  }
+
+ private:
+  std::vector<const std::vector<size_t>*> positions_;
+  bool null_is_absent_;
+  std::unordered_map<Row, uint32_t, RowKeyHash, RowKeyEq> ids_;
+};
 
 void CountTypedKey(const Node& node) {
   obs::MetricsRegistry::Instance()
       .counter("quarry_etl_chunk_typed_key_total",
                "Join, aggregation and surrogate-key kernel runs that hashed "
-               "a typed single-column key, by operator type",
+               "a typed key (one payload word per key column), by operator "
+               "type",
                {{"op", OpTypeToString(node.type)}})
       .Increment();
 }
 
-/// Runs `body` with the key functor(s) for the given key columns: typed
-/// when there is one column per side and every segment of both agrees on
-/// its type, generic otherwise. `sides` pairs each input's chunks with its
-/// key positions (one entry for aggregation and surrogate keys, build and
-/// probe for joins).
+/// Runs `body` with the key map for the given key columns: TypedKeys when
+/// every key column holds one of int64, date or string across every
+/// segment of every side, GenericKeys otherwise. `sides` pairs each input's
+/// chunks with its key positions (one entry for aggregation and surrogate
+/// keys; probe and build for joins).
 template <typename Body>
 Result<Dataset> WithKeys(
     const Node& node,
     const std::vector<std::pair<const std::vector<Chunk>*,
                                 const std::vector<size_t>*>>& sides,
     bool null_is_absent, const Body& body) {
-  KeyKind kind = KeyKind::kGeneric;
-  if (sides[0].second->size() == 1) {
-    kind = KeyKind::kNone;
-    for (const auto& [chunks, positions] : sides) {
-      kind = FoldKeyKind(kind, *chunks, (*positions)[0]);
+  const size_t arity = sides[0].second->size();
+  std::vector<const std::vector<size_t>*> positions;
+  for (const auto& side : sides) positions.push_back(side.second);
+  std::vector<KeyKind> kinds;
+  for (size_t k = 0; k < arity; ++k) {
+    KeyKind kind = KeyKind::kNone;
+    for (const auto& [chunks, pos] : sides) {
+      kind = FoldKeyKind(kind, *chunks, (*pos)[k]);
     }
+    if (kind == KeyKind::kGeneric) break;
+    // Every value NULL: any typed form works.
+    kinds.push_back(kind == KeyKind::kNone ? KeyKind::kInt64 : kind);
   }
-  auto typed = [&](auto key_kind) {
-    constexpr KeyKind K = decltype(key_kind)::value;
+  if (kinds.size() == arity && arity <= kMaxTypedKeyColumns) {
     CountTypedKey(node);
-    std::vector<TypedKey<K>> keys;
-    for (const auto& side : sides) keys.push_back({(*side.second)[0]});
+    TypedKeys keys(std::move(kinds), std::move(positions), null_is_absent);
     return body(keys);
-  };
-  switch (kind) {
-    case KeyKind::kNone:  // Every key is NULL: any typed form works.
-    case KeyKind::kInt64:
-      return typed(std::integral_constant<KeyKind, KeyKind::kInt64>{});
-    case KeyKind::kDate:
-      return typed(std::integral_constant<KeyKind, KeyKind::kDate>{});
-    case KeyKind::kString:
-      return typed(std::integral_constant<KeyKind, KeyKind::kString>{});
-    case KeyKind::kGeneric:
-      break;
   }
-  std::vector<GenericKey> keys;
-  for (const auto& side : sides) keys.push_back({side.second, null_is_absent});
+  GenericKeys keys(std::move(positions), null_is_absent);
   return body(keys);
 }
 
@@ -585,37 +747,33 @@ Result<Dataset> WithKeys(
 /// one output chunk per left chunk, matches in build order. Duplicate build
 /// keys chain through `next` instead of a vector per key. The right side's
 /// output columns are gathered straight from its segments.
-template <typename KeyFn>
+template <typename Keys>
 Result<Dataset> HashJoin(const Node& node, const ExecContext* ctx,
                          const Dataset& left, const Dataset& right,
-                         bool left_join, const KeyFn& left_key,
-                         const KeyFn& right_key) {
+                         bool left_join, Keys& keys) {
   const std::vector<Chunk>& left_chunks = left.chunks;
   const std::vector<Chunk>& right_chunks = right.chunks;
-  using Key = typename KeyFn::Type;
   using SourceRef = ValueSegment::SourceRef;
-  std::vector<SourceRef> build_rows;
+  std::vector<SourceRef> build_rows;   // The right input's live rows.
+  std::vector<uint32_t> first, last;   // Chain ends, by key id.
+  std::vector<uint32_t> next;          // Chain links, by build row.
+  std::vector<uint32_t> ids;
   for (uint32_t c = 0; c < right_chunks.size(); ++c) {
     const Chunk& chunk = right_chunks[c];
+    keys.Map(/*side=*/1, chunk, /*add=*/true, &ids);
     for (size_t i = 0; i < chunk.num_rows(); ++i) {
+      const uint32_t g = static_cast<uint32_t>(build_rows.size());
       build_rows.push_back({c, chunk.PhysicalRow(i)});
-    }
-  }
-  struct Chain {
-    uint32_t first;
-    uint32_t last;
-  };
-  std::unordered_map<Key, Chain, KeyHash<Key>, KeyEq<Key>> build;
-  build.reserve(build_rows.size());
-  std::vector<uint32_t> next(build_rows.size(), kNoRow);
-  for (uint32_t g = 0; g < build_rows.size(); ++g) {
-    std::optional<Key> key =
-        right_key(right_chunks[build_rows[g].source], build_rows[g].row);
-    if (!key.has_value()) continue;  // SQL: NULL keys never match.
-    auto [it, inserted] = build.try_emplace(std::move(*key), Chain{g, g});
-    if (!inserted) {
-      next[it->second.last] = g;
-      it->second.last = g;
+      next.push_back(kNoRow);
+      const uint32_t id = ids[i];
+      if (id == kNoRow) continue;  // SQL: NULL keys never match.
+      if (id == first.size()) {
+        first.push_back(g);
+        last.push_back(g);
+        continue;
+      }
+      next[last[id]] = g;
+      last[id] = g;
     }
   }
   std::vector<std::vector<const ValueSegment*>> right_sources(
@@ -634,32 +792,39 @@ Result<Dataset> HashJoin(const Node& node, const ExecContext* ctx,
   for (const Chunk& chunk : left_chunks) {
     QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
     CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
+    keys.Map(/*side=*/0, chunk, /*add=*/false, &ids);
     // One (left physical row, build row) pair per output row, in probe
     // order.
     std::vector<uint32_t> left_phys;
     std::vector<SourceRef> right_refs;
     for (size_t i = 0; i < chunk.num_rows(); ++i) {
       const uint32_t phys = chunk.PhysicalRow(i);
-      std::optional<Key> key = left_key(chunk, phys);
-      auto it = key.has_value() ? build.find(*key) : build.end();
-      if (it == build.end()) {
+      if (ids[i] == kNoRow) {
         if (left_join) {
           left_phys.push_back(phys);
           right_refs.push_back({ValueSegment::kNullSource, 0});
         }
         continue;
       }
-      for (uint32_t g = it->second.first; g != kNoRow; g = next[g]) {
+      for (uint32_t g = first[ids[i]]; g != kNoRow; g = next[g]) {
         left_phys.push_back(phys);
         right_refs.push_back(build_rows[g]);
       }
     }
     if (left_phys.empty()) continue;
+    // When every physical row is emitted once, in order (a foreign-key join
+    // over an unfiltered chunk), the left segments are shared, not copied.
+    bool identity = !chunk.has_selection() &&
+                    left_phys.size() == chunk.capacity();
+    for (size_t i = 0; identity && i < left_phys.size(); ++i) {
+      identity = left_phys[i] == i;
+    }
     std::vector<Chunk::SegmentPtr> segments;
     segments.reserve(out.columns.size());
     for (size_t c = 0; c < left.columns.size(); ++c) {
-      segments.push_back(std::make_shared<const ValueSegment>(
-          chunk.segment(c).Gather(left_phys)));
+      segments.push_back(identity ? chunk.segment_ptr(c)
+                                  : std::make_shared<const ValueSegment>(
+                                        chunk.segment(c).Gather(left_phys)));
     }
     for (size_t c = 0; c < right.columns.size(); ++c) {
       segments.push_back(std::make_shared<const ValueSegment>(
@@ -672,121 +837,320 @@ Result<Dataset> HashJoin(const Node& node, const ExecContext* ctx,
   return out;
 }
 
-/// Hash aggregation over chunks, groups in first-seen order. A typed key's
-/// NULL (nullopt) is its own group, exactly like SameAs groups NULLs.
-template <typename KeyFn>
+/// `a + b` wrapping on overflow (two's complement) instead of undefined.
+int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
+/// Each column's segment in every chunk, in chunk order: the sources of
+/// ValueSegment::GatherFrom.
+std::vector<const ValueSegment*> ColumnSources(const std::vector<Chunk>& chunks,
+                                               size_t column) {
+  std::vector<const ValueSegment*> sources;
+  sources.reserve(chunks.size());
+  for (const Chunk& chunk : chunks) sources.push_back(&chunk.segment(column));
+  return sources;
+}
+
+/// One aggregate's running state for every group, folded a chunk at a
+/// time. The fold is typed on the input column's rep when every chunk that
+/// holds a value shares it, and runs on Values when reps mix (kMixed, or
+/// INT in one chunk and DOUBLE in another). Either way it keeps SQL
+/// aggregate semantics exactly: NULLs are skipped (COUNT(*) counts rows),
+/// SUM stays INT while every input is INT, doubles add in row order,
+/// non-numeric inputs add nothing, and MIN/MAX keep the first row that
+/// Value::Compare ranks lowest/highest — by reference, so a string is
+/// never copied until the output is gathered.
+class AggFold {
+ public:
+  using SourceRef = ValueSegment::SourceRef;
+
+  /// `column` is the input's position, or -1 for COUNT(*).
+  AggFold(const AggSpec& spec, int column, const std::vector<Chunk>& chunks)
+      : column_(column) {
+    if (spec.function == "COUNT") fn_ = Fn::kCount;
+    if (spec.function == "SUM") fn_ = Fn::kSum;
+    if (spec.function == "AVG") fn_ = Fn::kAvg;
+    if (spec.function == "MIN") fn_ = Fn::kMin;
+    if (column_ < 0) return;
+    sources_ = ColumnSources(chunks, static_cast<size_t>(column_));
+    bool any_value = false;
+    for (const ValueSegment* src : sources_) {
+      if (src->all_null()) continue;
+      if (src->rep() == ValueSegment::Rep::kMixed ||
+          (any_value && src->rep() != rep_)) {
+        typed_ = false;
+        return;
+      }
+      rep_ = src->rep();
+      any_value = true;
+    }
+  }
+
+  /// Folds the live rows of chunk `c`, whose group ids are `gids`, into
+  /// `groups` groups.
+  void Add(uint32_t c, const Chunk& chunk, const std::vector<uint32_t>& gids,
+           size_t groups) {
+    count_.resize(groups, 0);
+    if (fn_ == Fn::kSum || fn_ == Fn::kAvg) {
+      int_sum_.resize(groups, 0);
+      sum_.resize(groups, 0.0);
+      all_int_.resize(groups, 1);
+    }
+    if (fn_ == Fn::kMin || fn_ == Fn::kMax) best_.resize(groups);
+    if (column_ < 0) {
+      for (uint32_t g : gids) ++count_[g];
+      return;
+    }
+    const ValueSegment& seg = chunk.segment(static_cast<size_t>(column_));
+    if (!typed_) {
+      AddValues(c, chunk, seg, gids);
+      return;
+    }
+    if (seg.all_null()) return;  // Its rep is arbitrary; nothing to fold.
+    switch (rep_) {
+      case ValueSegment::Rep::kInt64:
+        AddTyped(c, chunk, seg, gids, &ValueSegment::ints,
+                 ThreeWay<int64_t>);
+        break;
+      case ValueSegment::Rep::kDouble:
+        AddTyped(c, chunk, seg, gids, &ValueSegment::doubles,
+                 [](double a, double b) { return Sign(a - b); });
+        break;
+      case ValueSegment::Rep::kString:
+        AddTyped(c, chunk, seg, gids, &ValueSegment::strings,
+                 [](const std::string& a, const std::string& b) {
+                   return CompareStrings(a, b);
+                 });
+        break;
+      case ValueSegment::Rep::kDate:
+        AddTyped(c, chunk, seg, gids, &ValueSegment::dates,
+                 ThreeWay<int32_t>);
+        break;
+      case ValueSegment::Rep::kBool:
+        AddTyped(c, chunk, seg, gids, &ValueSegment::bools,
+                 [](uint8_t a, uint8_t b) {
+                   return (a != 0 ? 1 : 0) - (b != 0 ? 1 : 0);
+                 });
+        break;
+      case ValueSegment::Rep::kMixed:
+        break;  // Unreachable: typed_ is false.
+    }
+  }
+
+  /// The output column, one slot per group: COUNT of an empty group is 0,
+  /// every other function NULLs out.
+  ValueSegment Finish() const {
+    const size_t groups = count_.size();
+    std::vector<uint8_t> empty(groups);
+    for (size_t g = 0; g < groups; ++g) empty[g] = count_[g] == 0;
+    switch (fn_) {
+      case Fn::kCount:
+        return ValueSegment::FromInts(count_);
+      case Fn::kAvg: {
+        std::vector<double> avg(groups);
+        for (size_t g = 0; g < groups; ++g) {
+          if (!empty[g]) avg[g] = sum_[g] / static_cast<double>(count_[g]);
+        }
+        return ValueSegment::FromDoubles(std::move(avg), std::move(empty));
+      }
+      case Fn::kSum: {
+        if (typed_ && rep_ == ValueSegment::Rep::kDouble) {
+          return ValueSegment::FromDoubles(sum_, std::move(empty));
+        }
+        if (typed_) return ValueSegment::FromInts(int_sum_, std::move(empty));
+        std::vector<Value> sums(groups);
+        for (size_t g = 0; g < groups; ++g) {
+          if (empty[g]) continue;
+          sums[g] = all_int_[g] != 0 ? Value::Int(int_sum_[g])
+                                     : Value::Double(sum_[g]);
+        }
+        return ValueSegment::FromValues(std::move(sums));
+      }
+      case Fn::kMin:
+      case Fn::kMax: {
+        std::vector<SourceRef> refs = best_;
+        for (size_t g = 0; g < groups; ++g) {
+          if (empty[g]) refs[g] = {ValueSegment::kNullSource, 0};
+        }
+        return ValueSegment::GatherFrom(sources_, refs);
+      }
+    }
+    return ValueSegment();
+  }
+
+ private:
+  enum class Fn { kCount, kSum, kAvg, kMin, kMax };
+
+  /// Typed fold over `seg`'s payload `(seg.*payload)()`; `order` is
+  /// Value::Compare on two payload values.
+  template <typename T, typename Order>
+  void AddTyped(uint32_t c, const Chunk& chunk, const ValueSegment& seg,
+                const std::vector<uint32_t>& gids,
+                const std::vector<T>& (ValueSegment::*payload)() const,
+                const Order& order) {
+    const std::vector<T>& values = (seg.*payload)();
+    auto each = [&](const auto& fold) {
+      for (size_t i = 0; i < chunk.num_rows(); ++i) {
+        const uint32_t phys = chunk.PhysicalRow(i);
+        if (!seg.IsNull(phys)) fold(gids[i], phys);
+      }
+    };
+    switch (fn_) {
+      case Fn::kCount:
+        each([&](uint32_t g, uint32_t) { ++count_[g]; });
+        return;
+      case Fn::kSum:
+      case Fn::kAvg:
+        each([&](uint32_t g, uint32_t p) {
+          ++count_[g];
+          if constexpr (std::is_same_v<T, int64_t>) {
+            int_sum_[g] = WrapAdd(int_sum_[g], values[p]);
+            sum_[g] += static_cast<double>(values[p]);
+          } else if constexpr (std::is_same_v<T, double>) {
+            sum_[g] += values[p];
+          }
+        });
+        return;
+      case Fn::kMin:
+      case Fn::kMax: {
+        const int want = fn_ == Fn::kMin ? -1 : 1;
+        each([&](uint32_t g, uint32_t p) {
+          SourceRef& best = best_[g];
+          if (count_[g]++ == 0 ||
+              order(values[p], (sources_[best.source]->*payload)()[best.row]) ==
+                  want) {
+            best = {c, p};
+          }
+        });
+        return;
+      }
+    }
+  }
+
+  /// Fold over Values, for columns whose reps mix.
+  void AddValues(uint32_t c, const Chunk& chunk, const ValueSegment& seg,
+                 const std::vector<uint32_t>& gids) {
+    for (size_t i = 0; i < chunk.num_rows(); ++i) {
+      const uint32_t phys = chunk.PhysicalRow(i);
+      const Value v = seg.At(phys);
+      if (v.is_null()) continue;
+      const uint32_t g = gids[i];
+      const bool first = count_[g]++ == 0;
+      if (fn_ == Fn::kSum || fn_ == Fn::kAvg) {
+        if (!v.is_numeric()) continue;
+        sum_[g] += v.as_double();
+        if (v.is_int()) {
+          int_sum_[g] = WrapAdd(int_sum_[g], v.as_int());
+        } else {
+          all_int_[g] = 0;
+        }
+      } else if (fn_ == Fn::kMin || fn_ == Fn::kMax) {
+        SourceRef& best = best_[g];
+        const int cmp =
+            first ? 0 : v.Compare(sources_[best.source]->At(best.row));
+        if (first || cmp == (fn_ == Fn::kMin ? -1 : 1)) best = {c, phys};
+      }
+    }
+  }
+
+  Fn fn_ = Fn::kMax;
+  int column_;
+  bool typed_ = true;
+  ValueSegment::Rep rep_ = ValueSegment::Rep::kInt64;  // When typed_.
+  std::vector<const ValueSegment*> sources_;  // The input column, by chunk.
+  // By group; each function keeps only what it needs.
+  std::vector<int64_t> count_;     // Values (or rows, for COUNT(*)) seen.
+  std::vector<int64_t> int_sum_;   // SUM/AVG: sum of the INT inputs.
+  std::vector<double> sum_;        // SUM/AVG: sum of all numeric inputs.
+  std::vector<uint8_t> all_int_;   // SUM over Values: every input was INT.
+  std::vector<SourceRef> best_;    // MIN/MAX: the row holding the extreme.
+};
+
+/// Hash aggregation over chunks, groups in first-seen order (a NULL key
+/// part is a value of its own, so NULLs group together like SameAs). Each
+/// group keeps its first row; the group columns are gathered from those
+/// rows and each aggregate comes from its AggFold.
+template <typename Keys>
 Result<Dataset> HashAggregate(const Node& node, const ExecContext* ctx,
                               const std::vector<Chunk>& chunks,
                               const std::vector<std::string>& group,
                               const std::vector<size_t>& group_pos,
                               const std::vector<AggSpec>& specs,
-                              const std::vector<int>& agg_pos,
-                              const KeyFn& key_of) {
-  using Key = typename KeyFn::Type;
-  std::unordered_map<Key, uint32_t, KeyHash<Key>, KeyEq<Key>> index;
-  uint32_t null_group = kNoRow;
-  std::vector<Row> group_keys;   // First-seen order.
-  std::vector<AggState> states;  // specs.size() per group, group-major.
-  for (const Chunk& chunk : chunks) {
+                              const std::vector<int>& agg_pos, Keys& keys) {
+  std::vector<AggFold> folds;
+  folds.reserve(specs.size());
+  for (size_t s = 0; s < specs.size(); ++s) {
+    folds.emplace_back(specs[s], agg_pos[s], chunks);
+  }
+  std::vector<ValueSegment::SourceRef> group_rows;  // First-seen order.
+  std::vector<uint32_t> gids;
+  for (uint32_t c = 0; c < chunks.size(); ++c) {
+    const Chunk& chunk = chunks[c];
     QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
     CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
+    keys.Map(/*side=*/0, chunk, /*add=*/true, &gids);
     for (size_t i = 0; i < chunk.num_rows(); ++i) {
-      const uint32_t phys = chunk.PhysicalRow(i);
-      const uint32_t fresh = static_cast<uint32_t>(group_keys.size());
-      std::optional<Key> key = key_of(chunk, phys);
-      uint32_t g;
-      if (!key.has_value()) {
-        if (null_group == kNoRow) null_group = fresh;
-        g = null_group;
-      } else {
-        g = index.try_emplace(std::move(*key), fresh).first->second;
-      }
-      if (g == fresh) {
-        group_keys.push_back(ChunkKey(chunk, group_pos, phys));
-        states.resize(states.size() + specs.size());
-      }
-      AggState* st = &states[static_cast<size_t>(g) * specs.size()];
-      for (size_t s = 0; s < specs.size(); ++s) {
-        if (specs[s].input == "*") {
-          AccumulateAggStar(&st[s]);
-          continue;
-        }
-        AccumulateAgg(
-            &st[s], chunk.segment(static_cast<size_t>(agg_pos[s])).At(phys));
+      if (gids[i] == group_rows.size()) {
+        group_rows.push_back({c, chunk.PhysicalRow(i)});
       }
     }
+    for (AggFold& fold : folds) fold.Add(c, chunk, gids, group_rows.size());
   }
 
   Dataset out;
   out.columns = group;
   for (const AggSpec& s : specs) out.columns.push_back(s.output);
   OutputCharger charge(ctx, node.id, out.columns.size());
-  if (out.columns.empty() && !group_keys.empty()) {
+  if (out.columns.empty() && !group_rows.empty()) {
     // No group and no aggregate: the one group's row has no columns.
-    out.chunks.push_back(Chunk::Columnless(group_keys.size()));
-  } else if (!group_keys.empty()) {
-    std::vector<std::vector<Value>> cols(out.columns.size());
-    for (auto& col : cols) col.reserve(group_keys.size());
-    for (size_t g = 0; g < group_keys.size(); ++g) {
-      for (size_t k = 0; k < group_pos.size(); ++k) {
-        cols[k].push_back(std::move(group_keys[g][k]));
-      }
-      for (size_t s = 0; s < specs.size(); ++s) {
-        cols[group_pos.size() + s].push_back(FinalizeAgg(
-            specs[s].function, states[g * specs.size() + s]));
-      }
-    }
+    out.chunks.push_back(Chunk::Columnless(group_rows.size()));
+  } else if (!group_rows.empty()) {
     std::vector<Chunk::SegmentPtr> segments;
-    segments.reserve(cols.size());
-    for (auto& col : cols) {
+    segments.reserve(out.columns.size());
+    for (size_t p : group_pos) {
       segments.push_back(std::make_shared<const ValueSegment>(
-          ValueSegment::FromValues(std::move(col))));
+          ValueSegment::GatherFrom(ColumnSources(chunks, p), group_rows)));
+    }
+    for (const AggFold& fold : folds) {
+      segments.push_back(std::make_shared<const ValueSegment>(fold.Finish()));
     }
     out.chunks.emplace_back(std::move(segments));
   }
   QUARRY_RETURN_NOT_OK(
-      charge.Charge(static_cast<int64_t>(group_keys.size())));
+      charge.Charge(static_cast<int64_t>(group_rows.size())));
   return out;
 }
 
 /// Surrogate keys in first-seen order: the first row of each distinct key
-/// gets the next id (1, 2, ...); a typed key's NULL (nullopt) is one key,
-/// exactly like SameAs treats NULLs. Each input chunk keeps its segments
-/// and selection and gains the id column.
-template <typename KeyFn>
+/// gets the next id (1, 2, ...), with NULL one key like SameAs treats it.
+/// Each input chunk keeps its segments and selection and gains the id
+/// column.
+template <typename Keys>
 Result<Dataset> AssignSurrogateKeys(const Node& node, const ExecContext* ctx,
                                     const Dataset& in,
-                                    const std::string& column,
-                                    const KeyFn& key_of) {
-  using Key = typename KeyFn::Type;
-  std::unordered_map<Key, int64_t, KeyHash<Key>, KeyEq<Key>> ids;
-  int64_t null_id = 0;  // 0 until a NULL key is seen.
-  int64_t last_id = 0;
+                                    const std::string& column, Keys& keys) {
   Dataset out;
   out.columns = in.columns;
   out.columns.push_back(column);
   OutputCharger charge(ctx, node.id, out.columns.size());
+  std::vector<uint32_t> ids;
   for (const Chunk& chunk : in.chunks) {
     QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
     CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
-    std::vector<Value> values(chunk.capacity());  // Dead slots stay NULL.
+    keys.Map(/*side=*/0, chunk, /*add=*/true, &ids);
+    std::vector<int64_t> sids(chunk.capacity(), 0);
+    // Dead (filtered-out) slots stay NULL.
+    std::vector<uint8_t> dead(chunk.capacity(), chunk.has_selection());
     for (size_t i = 0; i < chunk.num_rows(); ++i) {
       const uint32_t phys = chunk.PhysicalRow(i);
-      std::optional<Key> key = key_of(chunk, phys);
-      int64_t id;
-      if (!key.has_value()) {
-        if (null_id == 0) null_id = ++last_id;
-        id = null_id;
-      } else {
-        auto [it, inserted] = ids.try_emplace(std::move(*key), last_id + 1);
-        if (inserted) ++last_id;
-        id = it->second;
-      }
-      values[phys] = Value::Int(id);
+      sids[phys] = static_cast<int64_t>(ids[i]) + 1;
+      dead[phys] = 0;
     }
     std::vector<Chunk::SegmentPtr> segments = chunk.segments();
     segments.push_back(std::make_shared<const ValueSegment>(
-        ValueSegment::FromValues(std::move(values))));
+        ValueSegment::FromInts(std::move(sids), std::move(dead))));
     QUARRY_RETURN_NOT_OK(charge.Charge(static_cast<int64_t>(chunk.num_rows())));
     out.chunks.emplace_back(std::move(segments), chunk.selection());
   }
@@ -888,8 +1252,15 @@ Result<Dataset> Executor::RunNode(const Node& node,
         out.columns.push_back(c.name);
       }
       OutputCharger charge(ctx, node.id, out.columns.size());
-      for (Chunk& chunk : table->ScanChunks(options.chunk_size)) {
+      // Each chunk is cut from the table only once its gate passed, so a
+      // cancel, deadline or fault stops the scan part-way.
+      const std::vector<Row>& rows = table->rows();
+      const size_t step =
+          static_cast<size_t>(std::max<int64_t>(1, options.chunk_size));
+      for (size_t begin = 0; begin < rows.size(); begin += step) {
         QUARRY_RETURN_NOT_OK(ChunkGate(ctx, node.id));
+        Chunk chunk = storage::MakeChunk(rows, out.columns.size(), begin,
+                                         std::min(rows.size(), begin + step));
         CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
         QUARRY_RETURN_NOT_OK(
             charge.Charge(static_cast<int64_t>(chunk.num_rows())));
@@ -920,6 +1291,7 @@ Result<Dataset> Executor::RunNode(const Node& node,
         CountChunk(node, static_cast<int64_t>(chunk.num_rows()));
         std::vector<uint32_t> sel;
         if (fast.has_value() && FastCompareEligible(*fast, chunk)) {
+          FastFilterCounter().Increment();
           RunFastCompare(*fast, chunk, &sel);
         } else {
           for (size_t i = 0; i < chunk.num_rows(); ++i) {
@@ -1029,9 +1401,9 @@ Result<Dataset> Executor::RunNode(const Node& node,
       // Keys: [0] probes the left input, [1] builds on the right one.
       return WithKeys(
           node, {{&left.chunks, &left_pos}, {&right.chunks, &right_pos}},
-          /*null_is_absent=*/true, [&](const auto& keys) {
+          /*null_is_absent=*/true, [&](auto& keys) {
             return HashJoin(node, ctx, left, right, join_type == "left",
-                            keys[0], keys[1]);
+                            keys);
           });
     }
     case OpType::kAggregation: {
@@ -1048,10 +1420,9 @@ Result<Dataset> Executor::RunNode(const Node& node,
         agg_pos[i] = static_cast<int>(pos[0]);
       }
       return WithKeys(node, {{&in.chunks, &group_pos}},
-                      /*null_is_absent=*/false, [&](const auto& keys) {
+                      /*null_is_absent=*/false, [&](auto& keys) {
                         return HashAggregate(node, ctx, in.chunks, group,
-                                             group_pos, specs, agg_pos,
-                                             keys[0]);
+                                             group_pos, specs, agg_pos, keys);
                       });
     }
     case OpType::kSort: {
@@ -1093,9 +1464,9 @@ Result<Dataset> Executor::RunNode(const Node& node,
       QUARRY_ASSIGN_OR_RETURN(auto positions,
                               ColumnPositions(in.columns, keys, node.id));
       return WithKeys(node, {{&in.chunks, &positions}},
-                      /*null_is_absent=*/false, [&](const auto& key_fns) {
+                      /*null_is_absent=*/false, [&](auto& keys) {
                         return AssignSurrogateKeys(node, ctx, in, column,
-                                                   key_fns[0]);
+                                                   keys);
                       });
     }
     case OpType::kLoader: {

@@ -109,6 +109,44 @@ ValueSegment ValueSegment::FromValues(std::vector<Value> values) {
   return seg;
 }
 
+namespace {
+
+/// Zeroes the payload under NULL slots and drops a mask without NULLs.
+template <typename T>
+void NormalizeNulls(std::vector<T>* payload, std::vector<uint8_t>* nulls) {
+  bool any_null = false;
+  for (size_t i = 0; i < nulls->size(); ++i) {
+    if ((*nulls)[i] == 0) continue;
+    (*payload)[i] = T{};
+    any_null = true;
+  }
+  if (!any_null) nulls->clear();
+}
+
+}  // namespace
+
+ValueSegment ValueSegment::FromInts(std::vector<int64_t> ints,
+                                    std::vector<uint8_t> nulls) {
+  ValueSegment seg;
+  seg.rep_ = Rep::kInt64;
+  seg.size_ = ints.size();
+  NormalizeNulls(&ints, &nulls);
+  seg.ints_ = std::move(ints);
+  seg.nulls_ = std::move(nulls);
+  return seg;
+}
+
+ValueSegment ValueSegment::FromDoubles(std::vector<double> doubles,
+                                       std::vector<uint8_t> nulls) {
+  ValueSegment seg;
+  seg.rep_ = Rep::kDouble;
+  seg.size_ = doubles.size();
+  NormalizeNulls(&doubles, &nulls);
+  seg.doubles_ = std::move(doubles);
+  seg.nulls_ = std::move(nulls);
+  return seg;
+}
+
 Value ValueSegment::At(size_t i) const {
   if (rep_ == Rep::kMixed) return values_[i];
   if (IsNull(i)) return Value::Null();
@@ -275,18 +313,6 @@ Chunk MakeChunk(const std::vector<Row>& rows, size_t num_columns,
         ValueSegment::FromRows(rows, c, begin, end)));
   }
   return Chunk(std::move(segments));
-}
-
-std::vector<Chunk> ChunkRows(const std::vector<Row>& rows,
-                             size_t num_columns, int64_t chunk_size) {
-  const size_t step = static_cast<size_t>(std::max<int64_t>(1, chunk_size));
-  std::vector<Chunk> chunks;
-  chunks.reserve(rows.size() / step + 1);
-  for (size_t begin = 0; begin < rows.size(); begin += step) {
-    const size_t end = std::min(rows.size(), begin + step);
-    chunks.push_back(MakeChunk(rows, num_columns, begin, end));
-  }
-  return chunks;
 }
 
 }  // namespace quarry::storage

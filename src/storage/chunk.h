@@ -42,6 +42,14 @@ class ValueSegment {
   /// Segment over a freshly computed value vector (takes ownership).
   static ValueSegment FromValues(std::vector<Value> values);
 
+  /// Typed segments over a computed payload (takes ownership). `nulls` is
+  /// empty (no NULL) or holds one flag per slot; a NULL slot's payload is
+  /// reset to zero.
+  static ValueSegment FromInts(std::vector<int64_t> ints,
+                               std::vector<uint8_t> nulls = {});
+  static ValueSegment FromDoubles(std::vector<double> doubles,
+                                  std::vector<uint8_t> nulls = {});
+
   size_t size() const { return size_; }
   Rep rep() const { return rep_; }
   bool has_nulls() const { return !nulls_.empty(); }
@@ -153,14 +161,11 @@ class Chunk {
   size_t capacity_ = 0;
 };
 
-/// One chunk over columns [0, num_columns) of rows [begin, end).
+/// One chunk over columns [0, num_columns) of rows [begin, end). A scan
+/// cuts its table one such range at a time, so it builds no chunk it does
+/// not emit.
 Chunk MakeChunk(const std::vector<Row>& rows, size_t num_columns,
                 size_t begin, size_t end);
-
-/// Splits `rows` into ceil(n / chunk_size) chunks of at most `chunk_size`
-/// rows each (the last one may be partial). `chunk_size` must be >= 1.
-std::vector<Chunk> ChunkRows(const std::vector<Row>& rows,
-                             size_t num_columns, int64_t chunk_size);
 
 }  // namespace quarry::storage
 

@@ -21,10 +21,6 @@ Table::Table(TableSchema schema) : schema_(std::move(schema)) {
   pk_positions_ = schema_.PrimaryKeyIndexes();
 }
 
-std::vector<Chunk> Table::ScanChunks(int64_t chunk_size) const {
-  return ChunkRows(rows_, schema_.columns().size(), chunk_size);
-}
-
 std::unique_ptr<Table> Table::Clone() const {
   auto copy = std::make_unique<Table>(schema_);
   copy->rows_ = rows_;

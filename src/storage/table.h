@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "storage/chunk.h"
 #include "storage/schema.h"
 #include "storage/value.h"
 
@@ -40,12 +39,6 @@ class Table {
   const std::string& name() const { return schema_.name(); }
   size_t num_rows() const { return rows_.size(); }
   const std::vector<Row>& rows() const { return rows_; }
-
-  /// Columnar scan: the table's rows sliced into typed chunks of at most
-  /// `chunk_size` rows each (storage/chunk.h). The chunks snapshot the
-  /// current contents — later mutations don't show through. Feeds the
-  /// ETL runtime's Datastore kernel (DESIGN.md §8).
-  std::vector<Chunk> ScanChunks(int64_t chunk_size) const;
 
   /// Validates and appends a row.
   Status Insert(Row row);

@@ -1,12 +1,14 @@
 // Unit tests for the columnar storage layer (DESIGN.md §8): ValueSegment's
 // exact Value round-trip (the property the three-way differential harness
 // rests on), Gather, Chunk selection-vector composition, and the
-// row-splitting helpers MakeChunk / ChunkRows / Table::ScanChunks.
+// row-range helper MakeChunk and the typed builders FromInts /
+// FromDoubles.
 
 #include "storage/chunk.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -159,32 +161,10 @@ TEST(ChunkTest, ProjectionSharesSegments) {
   EXPECT_EQ(&projected.segment(1), &full.segment(0));
 }
 
-TEST(ChunkTest, ChunkRowsSplitsWithPartialLastChunk) {
-  std::vector<Row> rows;
-  for (int i = 0; i < 10; ++i) rows.push_back({Value::Int(i)});
-
-  std::vector<Chunk> chunks = ChunkRows(rows, 1, 4);
-  ASSERT_EQ(chunks.size(), 3u);  // 4 + 4 + 2
-  EXPECT_EQ(chunks[0].num_rows(), 4u);
-  EXPECT_EQ(chunks[1].num_rows(), 4u);
-  EXPECT_EQ(chunks[2].num_rows(), 2u);
-  EXPECT_EQ(chunks[2].ValueAt(0, 1).as_int(), 9);
-
-  EXPECT_EQ(ChunkRows(rows, 1, 1).size(), 10u);    // singletons
-  EXPECT_EQ(ChunkRows(rows, 1, 100).size(), 1u);   // one oversized chunk
-  EXPECT_EQ(ChunkRows(rows, 1, 0).size(), 10u);    // sizes < 1 act like 1
-  EXPECT_TRUE(ChunkRows({}, 1, 4).empty());        // empty input, no chunks
-
-  // Round-trip: re-materializing every chunk reproduces the input exactly.
-  std::vector<Row> out;
-  for (const Chunk& chunk : chunks) chunk.AppendRowsTo(&out);
-  ASSERT_EQ(out.size(), rows.size());
-  for (size_t r = 0; r < rows.size(); ++r) {
-    ExpectSameValue(out[r][0], rows[r][0]);
-  }
-}
-
-TEST(ChunkTest, TableScanChunksMatchesRows) {
+// A scan cuts its table one MakeChunk range at a time (3 + 3 + 1 rows
+// here); re-materializing the ranges reproduces the table exactly, and a
+// range over no columns still carries its rows.
+TEST(ChunkTest, MakeChunkRangesRoundTripTableRows) {
   Database db("src");
   TableSchema schema("t");
   ASSERT_TRUE(schema.AddColumn({"id", DataType::kInt64, false}).ok());
@@ -197,16 +177,45 @@ TEST(ChunkTest, TableScanChunksMatchesRows) {
                                          : Value::Null()})
                     .ok());
   }
-  std::vector<Chunk> chunks = table->ScanChunks(3);
-  ASSERT_EQ(chunks.size(), 3u);  // 3 + 3 + 1
+  const std::vector<Row>& rows = table->rows();
+  std::vector<Chunk> chunks;
+  for (size_t begin = 0; begin < rows.size(); begin += 3) {
+    chunks.push_back(MakeChunk(rows, 2, begin, std::min(rows.size(),
+                                                        begin + 3)));
+  }
+  ASSERT_EQ(chunks.size(), 3u);
+  EXPECT_EQ(chunks[2].num_rows(), 1u);
+  EXPECT_EQ(chunks[2].ValueAt(0, 0).as_int(), 6);
   std::vector<Row> out;
   for (const Chunk& chunk : chunks) chunk.AppendRowsTo(&out);
-  ASSERT_EQ(out.size(), table->rows().size());
+  ASSERT_EQ(out.size(), rows.size());
   for (size_t r = 0; r < out.size(); ++r) {
-    for (size_t c = 0; c < 2; ++c) {
-      ExpectSameValue(out[r][c], table->rows()[r][c]);
-    }
+    for (size_t c = 0; c < 2; ++c) ExpectSameValue(out[r][c], rows[r][c]);
   }
+  Chunk columnless = MakeChunk(rows, 0, 2, 6);
+  EXPECT_EQ(columnless.num_columns(), 0u);
+  EXPECT_EQ(columnless.num_rows(), 4u);
+}
+
+// The typed builders the aggregation and surrogate-key kernels emit
+// through: NULL slots read back as NULL with a zero payload, and a mask
+// without NULLs is dropped.
+TEST(ChunkTest, TypedBuildersRoundTripWithNulls) {
+  ValueSegment ints = ValueSegment::FromInts({7, 99, -3}, {0, 1, 0});
+  EXPECT_EQ(ints.rep(), ValueSegment::Rep::kInt64);
+  ExpectSameValue(ints.At(0), Value::Int(7));
+  ExpectSameValue(ints.At(1), Value::Null());
+  ExpectSameValue(ints.At(2), Value::Int(-3));
+  EXPECT_EQ(ints.ints()[1], 0);
+
+  ValueSegment doubles = ValueSegment::FromDoubles({1.5, -0.0}, {0, 0});
+  EXPECT_EQ(doubles.rep(), ValueSegment::Rep::kDouble);
+  EXPECT_FALSE(doubles.has_nulls());
+  ExpectSameValue(doubles.At(1), Value::Double(-0.0));
+
+  ValueSegment all_null = ValueSegment::FromDoubles({2.0}, {1});
+  EXPECT_TRUE(all_null.all_null());
+  EXPECT_EQ(all_null.doubles()[0], 0.0);
 }
 
 }  // namespace

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -17,6 +19,7 @@
 
 #include "common/exec_context.h"
 #include "common/fault_injection.h"
+#include "common/timer.h"
 #include "datagen/tpch.h"
 #include "etl_test_util.h"
 #include "golden_corpus.h"
@@ -434,20 +437,27 @@ TEST(GoldenCorpusTest, TpchRevenueFlowMatches) {
             chunk_rows_before);
 }
 
-// Typed single-column keys (DESIGN.md §8): joins and aggregations keyed on
-// one INT, DATE or STRING column hash the segment payload; NULL keys, the
-// zero payloads next to them, duplicate build keys and selection vectors
-// must not move a byte. An INT key joined to a DOUBLE key (3 = 3.0), a
-// DOUBLE group key and two-column keys stay on the generic path.
+// Typed keys (DESIGN.md §8): joins and aggregations keyed on INT, DATE or
+// STRING columns — one column or two (INT + STRING) — hash the segment
+// payloads; NULL keys, the zero payloads next to them, duplicate build keys
+// and selection vectors must not move a byte. An INT key joined to a
+// DOUBLE key (3 = 3.0) and a DOUBLE group key stay on the generic path.
+// (The two-column flows keep their "generic_" names: case names key the
+// frozen records.)
 TEST(GoldenCorpusTest, TypedKeyFlowsMatch) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Instance();
   auto typed_runs = [&reg](const char* op) {
     return reg.counter("quarry_etl_chunk_typed_key_total", "", {{"op", op}})
         .value();
   };
+  auto ends_with = [](const std::string& s, const std::string& suffix) {
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+  };
   for (const CorpusCase& c : testutil::TypedKeyCases(1, 4)) {
     ASSERT_TRUE(c.flow.Validate().ok()) << c.name;
-    const bool typed = c.flow.name().rfind("typed_", 0) == 0;
+    const bool typed = c.flow.name().rfind("typed_", 0) == 0 ||
+                       ends_with(c.flow.name(), "_two_columns");
     const bool has_join = c.flow.name().find("_join_") != std::string::npos;
     const int64_t joins_before = typed_runs("Join");
     const int64_t aggs_before = typed_runs("Aggregation");
@@ -488,13 +498,14 @@ TEST(GoldenCorpusTest, SortUnionAndSurrogateKeyMatch) {
     ASSERT_TRUE(c.flow.Validate().ok()) << c.name;
     ExpectSweepMatchesGolden(c);
   }
-  // skey_int/_date/_string and union_three hash typed keys; skey_double
-  // and skey_two_columns stay generic: 4 flows x 4 seeds x 8 arms.
+  // skey_int/_date/_string, skey_two_columns (INT + STRING) and
+  // union_three hash typed keys; skey_double stays generic: 5 flows x 4
+  // seeds x 8 arms.
   EXPECT_EQ(reg.counter("quarry_etl_chunk_typed_key_total", "",
                         {{"op", "SurrogateKey"}})
                     .value() -
                 typed_before,
-            4 * 4 * 8);
+            5 * 4 * 8);
 }
 
 // Cancellation and an expired deadline fail at the first node with the
@@ -634,6 +645,63 @@ TEST(EtlChunkRuntimeTest, CheckpointResumesAtAnotherChunkSizeAndWorkerCount) {
         << "killed at chunk_size=" << arm.killed.chunk_size
         << " workers=" << arm.killed.max_workers;
   }
+}
+
+// A scan cuts each chunk from its table only after that chunk's gate
+// passed, so a scan stopped at its first gate has built at most one chunk
+// and returns long before a full scan would (cutting the whole table into
+// chunks before the first gate made both take the same time). The ratio of
+// the best of three stopped runs to the best of three full ones is
+// asserted, not a raw time.
+TEST(EtlChunkRuntimeTest, ScanStoppedAtItsFirstGateBuildsAtMostOneChunk) {
+  storage::Database source("src");
+  storage::TableSchema schema("big");
+  ASSERT_TRUE(schema.AddColumn({"id", storage::DataType::kInt64, false}).ok());
+  ASSERT_TRUE(schema.AddColumn({"s", storage::DataType::kString, true}).ok());
+  storage::Table* table = *source.CreateTable(std::move(schema));
+  constexpr int64_t kRows = 100000;  // 1563 chunks of 64 rows.
+  for (int64_t r = 0; r < kRows; ++r) {
+    ASSERT_TRUE(table
+                    ->Insert({storage::Value::Int(r),
+                              storage::Value::String(
+                                  "row" + std::to_string(r % 97))})
+                    .ok());
+  }
+  Flow flow("scan");
+  (void)flow.AddNode(MakeNode("scan", OpType::kDatastore, {{"table", "big"}}));
+  (void)flow.AddNode(
+      MakeNode("n", OpType::kAggregation, {{"aggs", "COUNT(*) AS n"}}));
+  (void)flow.AddEdge("scan", "n");
+  auto timed_run = [&](Status* status) {
+    Executor executor(&source, nullptr);
+    Dataset sink;
+    Timer timer;
+    *status = executor
+                  .Run(flow, ExecOptions{.chunk_size = 64}, RetryPolicy{},
+                       nullptr, nullptr, &sink)
+                  .status();
+    return timer.ElapsedMicros();
+  };
+  fault::Injector& injector = fault::Injector::Instance();
+  double full_us = std::numeric_limits<double>::infinity();
+  double stopped_us = full_us;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    Status status;
+    full_us = std::min<double>(full_us, timed_run(&status));
+    ASSERT_TRUE(status.ok()) << status;
+    injector.ClearConfigs();
+    injector.Configure("etl.exec.vec.chunk", {.fail_from_hit = 1});
+    injector.Enable(/*seed=*/1);
+    stopped_us = std::min<double>(stopped_us, timed_run(&status));
+    const int64_t gates = injector.HitCount("etl.exec.vec.chunk");
+    injector.Disable();
+    injector.ClearConfigs();
+    EXPECT_FALSE(status.ok());
+    EXPECT_EQ(gates, 1) << "the scan stops at its first gate";
+  }
+  EXPECT_LT(stopped_us * 20, full_us)
+      << "stopped scan " << stopped_us << " us, full scan " << full_us
+      << " us";
 }
 
 }  // namespace

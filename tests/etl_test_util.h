@@ -308,9 +308,11 @@ inline std::unique_ptr<storage::Database> BuildTypedKeySource(
 }
 
 /// Flows over BuildTypedKeySource: joins and aggregations keyed on one
-/// INT, DATE or STRING column (names start with "typed_"), and ones that
-/// must stay on the generic key path — an INT key joined to a DOUBLE key,
-/// a DOUBLE group key, a two-column key (names start with "generic_").
+/// INT, DATE or STRING column (names start with "typed_"), and ones named
+/// "generic_": an INT key joined to a DOUBLE key and a DOUBLE group key,
+/// which stay on the generic key path, and INT + STRING two-column keys,
+/// which are typed since composite keys are (the names are frozen in the
+/// golden records).
 inline std::vector<Flow> TypedKeyFlows() {
   std::vector<Flow> flows;
   auto join_flow = [&flows](const std::string& name, const std::string& left,

@@ -8,10 +8,12 @@
 #   5. golden   — golden-corpus differential suites (every corpus flow at
 #                  chunk sizes 1/7/1024/rows+1 on 1 and 4 workers against
 #                  the frozen row-at-a-time records of tests/data/, plus
-#                  the serving-path differential) — each filter must select
-#                  at least one test — and the chunk bench's --smoke mode,
-#                  which re-checks TPC-H runs against the golden corpus and
-#                  that the chunk kernels actually ran (DESIGN.md §8)
+#                  the serving-path differential and the cube-query oracle)
+#                  — each filter must select at least one test — the same
+#                  filters again in the ASan build, and the chunk bench's
+#                  --smoke mode, which re-checks TPC-H runs against the
+#                  golden corpus and that the chunk kernels actually ran
+#                  (DESIGN.md §8)
 #   6. metrics   — two-way metric/doc lint (tools/check_metrics_doc.sh)
 #   7. http      — telemetry-endpoint smoke: start quarry_httpd, curl all
 #                  six endpoints, validate JSON with the in-tree parser
@@ -98,7 +100,25 @@ run_filtered() {
 golden_differential() {
   run_filtered etl_parallel_test 'GoldenCorpusTest.*' &&
     run_filtered property_test '*GoldenCorpusProperty*' &&
-    run_filtered olap_test 'CubeQueryFastPathTest.*'
+    run_filtered olap_test 'CubeQueryFastPathTest.*' &&
+    run_filtered olap_test 'CubeQueryOracle*'
+}
+
+# The golden, serving-path and oracle differentials again in the ASan
+# build that the crash-matrix step configures (reconfigured here, so the
+# step also stands alone): typed keys intern string_views into segment
+# payloads, and a view that outlives its segment only shows up under ASan.
+# run_filtered reads build_dir, which the local below rebinds.
+golden_differential_asan() {
+  local build_dir="${repo_root}/build-asan"
+  cmake -B "${build_dir}" -S "${repo_root}" \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo -DQUARRY_SANITIZE=address &&
+    cmake --build "${build_dir}" -j "$(nproc)" \
+      --target etl_parallel_test olap_test &&
+    ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1:detect_leaks=1}" \
+      run_filtered etl_parallel_test 'GoldenCorpusTest.*' &&
+    ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1:detect_leaks=1}" \
+      run_filtered olap_test 'CubeQueryFastPathTest.*:CubeQueryOracle*'
 }
 
 chunk_bench_smoke() {
@@ -119,6 +139,7 @@ run_step "tsan slice" "${repo_root}/tools/run_tsan.sh"
 run_step "crash matrix (asan)" "${repo_root}/tools/run_crash_matrix.sh"
 run_step "warehouse recovery" warehouse_recovery
 run_step "golden differential" golden_differential
+run_step "golden differential (asan)" golden_differential_asan
 run_step "chunk bench smoke" chunk_bench_smoke
 run_step "metrics doc lint" "${repo_root}/tools/check_metrics_doc.sh"
 run_step "http smoke" "${repo_root}/tools/run_http_smoke.sh" "${build_dir}"
@@ -131,7 +152,7 @@ fi
 echo
 echo "==== run_all_checks summary ===="
 for i in "${!step_names[@]}"; do
-  printf '  %-22s %s\n' "${step_names[$i]}" "${step_results[$i]}"
+  printf '  %-28s %s\n' "${step_names[$i]}" "${step_results[$i]}"
 done
 if [[ "${failed}" -ne 0 ]]; then
   echo "==== run_all_checks FAILED ===="
